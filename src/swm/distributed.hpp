@@ -10,7 +10,8 @@
 /// halo rows (width 1, twice per RHS evaluation - once for the
 /// prognostic fields, once for the derived zeta/KE/Laplacian fields
 /// that the tendency stencils read at +-1), and the physics is the
-/// *same arithmetic in the same order* as the serial rhs_evaluator -
+/// serial rhs_evaluator's own row kernels (rhs.hpp, namespace rhs_row)
+/// called on the slab rows with the halo rows as their y-neighbours -
 /// tests/swm_distributed_test pins the two trajectories bit-for-bit at
 /// Float64.
 ///
@@ -95,23 +96,9 @@ class distributed_model {
     comp_.fill(T{});
     halo_ = halo_exchanger<T>(comm, nx);
 
-    const double dt = params.dt();
-    const double dy = params.dy();
-    const double s = coeffs_.scale;
-    dt_cor_u_.resize(static_cast<std::size_t>(local_ny_));
-    dt_cor_v_.resize(static_cast<std::size_t>(local_ny_));
-    wind_u_.resize(static_cast<std::size_t>(local_ny_));
+    forcing_.reserve(static_cast<std::size_t>(local_ny_));
     for (int j = 0; j < local_ny_; ++j) {
-      const int gj = j0_ + j;
-      const double y_center = (gj + 0.5) * dy - 0.5 * params.Ly;
-      const double y_face = gj * dy - 0.5 * params.Ly;
-      dt_cor_u_[static_cast<std::size_t>(j)] = T(
-          dt * (params.coriolis_f0 + params.coriolis_beta * y_center));
-      dt_cor_v_[static_cast<std::size_t>(j)] =
-          T(dt * (params.coriolis_f0 + params.coriolis_beta * y_face));
-      wind_u_[static_cast<std::size_t>(j)] =
-          T(-dt * s * params.wind_stress / (params.rho * params.depth) *
-            std::cos(2.0 * M_PI * (gj + 0.5) / params.ny));
+      forcing_.push_back(row_forcing<T>::at(params, j0_ + j));
     }
   }
 
@@ -323,10 +310,9 @@ class distributed_model {
  private:
   using engine_phase = typename halo_exchanger<T>::phase;
 
-  /// The same five passes as rhs_evaluator::operator(), on slabs, with
-  /// two halo-exchange phases. Formulas live in the rhs_*_rows helpers
-  /// and must stay textually in sync with rhs.hpp (the bit-equality
-  /// test enforces it). Under aggregated_overlap the interior rows
+  /// The five RHS passes on slabs, with two halo-exchange phases: the
+  /// rhs_row kernels of the serial evaluator, fed the halo rows j-1 and
+  /// j+1 as y-neighbours. Under aggregated_overlap the interior rows
   /// (1..local_ny-2) of each window run while the packed halos are in
   /// flight and the boundary rows (0 and local_ny-1) after finish();
   /// per-point arithmetic and inputs are unchanged, so the reordering
@@ -353,18 +339,14 @@ class distributed_model {
     count_halo_traffic(3);
 
     if (overlap) {
-      rhs_vorticity_rows(st, 1, nyl - 1);
-      rhs_laplacian_rows(st, 1, nyl - 1);
+      prognostic_rows(st, 1, nyl - 1);
       charge(rhs_split_.interior_prognostic);
       halo_.finish();
-      rhs_vorticity_rows(st, 0, 1);
-      rhs_vorticity_rows(st, nyl - 1, nyl);
-      rhs_laplacian_rows(st, 0, 1);
-      rhs_laplacian_rows(st, nyl - 1, nyl);
+      prognostic_rows(st, 0, 1);
+      prognostic_rows(st, nyl - 1, nyl);
       charge(rhs_split_.boundary_prognostic);
     } else {
-      rhs_vorticity_rows(st, 0, nyl);
-      rhs_laplacian_rows(st, 0, nyl);
+      prognostic_rows(st, 0, nyl);
       charge(rhs_split_.interior_prognostic);
       charge(rhs_split_.boundary_prognostic);
     }
@@ -385,144 +367,57 @@ class distributed_model {
     count_halo_traffic(4);
 
     if (overlap) {
-      rhs_tendency_u_rows(st, out, 1, nyl - 1);
-      rhs_tendency_v_rows(st, out, 1, nyl - 1);
-      rhs_continuity_rows(st, out, 1, nyl - 1);
+      derived_rows(st, out, 1, nyl - 1);
       charge(rhs_split_.interior_derived);
       halo_.finish();
-      rhs_tendency_u_rows(st, out, 0, 1);
-      rhs_tendency_u_rows(st, out, nyl - 1, nyl);
-      rhs_tendency_v_rows(st, out, 0, 1);
-      rhs_tendency_v_rows(st, out, nyl - 1, nyl);
-      rhs_continuity_rows(st, out, 0, 1);
-      rhs_continuity_rows(st, out, nyl - 1, nyl);
+      derived_rows(st, out, 0, 1);
+      derived_rows(st, out, nyl - 1, nyl);
       charge(rhs_split_.boundary_derived);
     } else {
-      rhs_tendency_u_rows(st, out, 0, nyl);
-      rhs_tendency_v_rows(st, out, 0, nyl);
-      rhs_continuity_rows(st, out, 0, nyl);
+      derived_rows(st, out, 0, nyl);
       charge(rhs_split_.interior_derived);
       charge(rhs_split_.boundary_derived);
     }
   }
 
-  /// Vorticity + kinetic-energy pass over rows [jb, je). Reads U,V
-  /// rows j-1..j+1, so rows 0 and local_ny-1 need prognostic halos.
-  void rhs_vorticity_rows(slab_state<T>& st, int jb, int je) {
-    const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
-    auto& U = st.u;
-    auto& V = st.v;
-    for (int j = jb; j < je; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        zeta_(i, j) = (V(i, j) - V(im, j)) - (U(i, j) - U(i, j - 1));
-        const T ubar = c.half * (U(i, j) + U(ip, j));
-        const T vbar = c.half * (V(i, j) + V(i, j + 1));
-        ke_(i, j) = c.half * (ubar * (c.inv_s * ubar) +
-                              vbar * (c.inv_s * vbar));
-      }
-    }
-  }
-
-  /// Laplacian pass over rows [jb, je) (same halo needs as above).
-  void rhs_laplacian_rows(slab_state<T>& st, int jb, int je) {
+  /// Passes 1-2 (vorticity/KE, both Laplacians) over rows [jb, je).
+  /// They read U,V rows j-1..j+1, so rows 0 and local_ny-1 need the
+  /// prognostic halos.
+  void prognostic_rows(slab_state<T>& st, int jb, int je) {
     const int nx = params_.nx;
     auto& U = st.u;
     auto& V = st.v;
     for (int j = jb; j < je; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        const T four = T(4);
-        lap_u_(i, j) = U(ip, j) + U(im, j) + U(i, j + 1) + U(i, j - 1) -
-                       four * U(i, j);
-        lap_v_(i, j) = V(ip, j) + V(im, j) + V(i, j + 1) + V(i, j - 1) -
-                       four * V(i, j);
-      }
+      rhs_row::vorticity_ke(&zeta_(0, j), &ke_(0, j), &U(0, j), &U(0, j - 1),
+                            &V(0, j), &V(0, j + 1), nx, coeffs_);
+      rhs_row::laplacian(&lap_u_(0, j), &U(0, j), &U(0, j - 1), &U(0, j + 1),
+                         nx);
+      rhs_row::laplacian(&lap_v_(0, j), &V(0, j), &V(0, j - 1), &V(0, j + 1),
+                         nx);
     }
   }
 
-  /// u-tendency pass over rows [jb, je); rows 0 and local_ny-1 read
-  /// the derived halos (zeta, lap_u at j±1).
-  void rhs_tendency_u_rows(slab_state<T>& st, slab_state<T>& out, int jb,
-                           int je) {
+  /// Passes 3-5 (u, v and eta tendencies) over rows [jb, je); rows 0
+  /// and local_ny-1 read the derived halos (zeta, KE, Laplacians at
+  /// j±1). Continuity needs only prognostic halos, but runs in this
+  /// window to keep the serial pass order.
+  void derived_rows(slab_state<T>& st, slab_state<T>& out, int jb, int je) {
     const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
     auto& U = st.u;
     auto& V = st.v;
     auto& H = st.eta;
     for (int j = jb; j < je; ++j) {
-      const T dtf = dt_cor_u_[static_cast<std::size_t>(j)];
-      const T wind = wind_u_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        const T vbar = c.quarter *
-                       (V(im, j) + V(i, j) + V(im, j + 1) + V(i, j + 1));
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(i, j + 1)));
-        const T biharm = lap_u_(ip, j) + lap_u_(im, j) + lap_u_(i, j + 1) +
-                         lap_u_(i, j - 1) - T(4) * lap_u_(i, j);
-        out.u(i, j) = dtf * vbar + c.dtdx * (zbar * vbar) -
-                      c.g_dtdx * (H(i, j) - H(im, j)) -
-                      c.dtdx * (ke_(i, j) - ke_(im, j)) + wind -
-                      c.dt_drag * U(i, j) - c.dt_visc * biharm;
-      }
-    }
-  }
-
-  /// v-tendency pass over rows [jb, je).
-  void rhs_tendency_v_rows(slab_state<T>& st, slab_state<T>& out, int jb,
-                           int je) {
-    const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
-    auto& U = st.u;
-    auto& V = st.v;
-    auto& H = st.eta;
-    for (int j = jb; j < je; ++j) {
-      const T dtf = dt_cor_v_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = V.im(i);
-        const int ip = V.ip(i);
-        const T ubar = c.quarter *
-                       (U(i, j - 1) + U(i, j) + U(ip, j - 1) + U(ip, j));
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(ip, j)));
-        const T biharm = lap_v_(ip, j) + lap_v_(im, j) + lap_v_(i, j + 1) +
-                         lap_v_(i, j - 1) - T(4) * lap_v_(i, j);
-        out.v(i, j) = -dtf * ubar - c.dtdx * (zbar * ubar) -
-                      c.g_dtdy * (H(i, j) - H(i, j - 1)) -
-                      c.dtdy * (ke_(i, j) - ke_(i, j - 1)) -
-                      c.dt_drag * V(i, j) - c.dt_visc * biharm;
-      }
-    }
-  }
-
-  /// Continuity (eta-tendency) pass over rows [jb, je); needs only
-  /// prognostic halos, but runs in the derived window to keep the
-  /// serial pass order.
-  void rhs_continuity_rows(slab_state<T>& st, slab_state<T>& out, int jb,
-                           int je) {
-    const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
-    auto& U = st.u;
-    auto& V = st.v;
-    auto& H = st.eta;
-    for (int j = jb; j < je; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const int im = H.im(i);
-        const int ip = H.ip(i);
-        const T div = c.h0_dtdx * (U(ip, j) - U(i, j)) +
-                      c.h0_dtdy * (V(i, j + 1) - V(i, j));
-        const T fx_e = U(ip, j) * (c.inv_s * (c.half * (H(i, j) + H(ip, j))));
-        const T fx_w = U(i, j) * (c.inv_s * (c.half * (H(im, j) + H(i, j))));
-        const T fy_n =
-            V(i, j + 1) * (c.inv_s * (c.half * (H(i, j) + H(i, j + 1))));
-        const T fy_s =
-            V(i, j) * (c.inv_s * (c.half * (H(i, j - 1) + H(i, j))));
-        out.eta(i, j) = -div - c.dtdx * (fx_e - fx_w) -
-                        c.dtdy * (fy_n - fy_s);
-      }
+      const row_forcing<T>& row = forcing_[static_cast<std::size_t>(j)];
+      rhs_row::u_momentum(&out.u(0, j), &U(0, j), &V(0, j), &V(0, j + 1),
+                          &zeta_(0, j), &zeta_(0, j + 1), &lap_u_(0, j),
+                          &lap_u_(0, j - 1), &lap_u_(0, j + 1), &H(0, j),
+                          &ke_(0, j), nx, coeffs_, row);
+      rhs_row::v_momentum(&out.v(0, j), &V(0, j), &U(0, j), &U(0, j - 1),
+                          &zeta_(0, j), &lap_v_(0, j), &lap_v_(0, j - 1),
+                          &lap_v_(0, j + 1), &H(0, j), &H(0, j - 1),
+                          &ke_(0, j), &ke_(0, j - 1), nx, coeffs_, row);
+      rhs_row::continuity(&out.eta(0, j), &U(0, j), &V(0, j), &V(0, j + 1),
+                          &H(0, j), &H(0, j - 1), &H(0, j + 1), nx, coeffs_);
     }
   }
 
@@ -637,7 +532,7 @@ class distributed_model {
   slab_state<T> prog_, comp_, stage_, inc_;
   slab_state<T> k1_, k2_, k3_, k4_;
   slab<T> zeta_, ke_, lap_u_, lap_v_;
-  std::vector<T> dt_cor_u_, dt_cor_v_, wind_u_;
+  std::vector<row_forcing<T>> forcing_;
 };
 
 }  // namespace tfx::swm

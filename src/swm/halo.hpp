@@ -71,9 +71,6 @@ class slab {
                  static_cast<std::size_t>(i)];
   }
 
-  [[nodiscard]] int ip(int i) const { return i + 1 == nx_ ? 0 : i + 1; }
-  [[nodiscard]] int im(int i) const { return i == 0 ? nx_ - 1 : i - 1; }
-
   /// Interior row j as a span (for sends and bulk updates).
   [[nodiscard]] std::span<T> row(int j) {
     return {&(*this)(0, j), static_cast<std::size_t>(nx_)};

@@ -5,6 +5,7 @@
 
 #include "arch/roofline.hpp"
 #include "core/contracts.hpp"
+#include "swm/rhs.hpp"
 
 namespace tfx::swm {
 
@@ -17,7 +18,8 @@ namespace {
 
 // Array sweeps per cell per RK4 step, matching the implementation in
 // rhs.hpp / model.hpp pass for pass:
-//   4 RHS evaluations x (19 reads + 7 writes) of T
+//   4 RHS evaluations x (array_reads + array_writes) of T, the counts
+//   rhs_evaluator declares next to its passes (the same at every T)
 //   3 stage combinations x 3 fields x (2 Tprog reads/writes + 1 T read)
 //   increment reduction: 3 fields x 4 T reads, plus - UNFUSED ONLY -
 //   1 Tprog increment-array write per field and its re-read in the
@@ -26,7 +28,9 @@ namespace {
 //   arrays when compensated): 2 Tprog per field instead of 4, 4
 //   instead of 6 compensated.
 //   mixed precision: 4 down-casts x 3 fields x (Tprog read + T write)
-constexpr double rhs_sweeps_T = 4.0 * (19.0 + 7.0);
+constexpr double rhs_sweeps_T =
+    4.0 * (rhs_evaluator<double>::array_reads +
+           rhs_evaluator<double>::array_writes);
 constexpr double stage_sweeps_Tprog = 3.0 * 3.0 * 2.0;
 constexpr double stage_sweeps_T = 3.0 * 3.0 * 1.0;
 constexpr double inc_sweeps_T = 3.0 * 4.0;

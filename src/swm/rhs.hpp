@@ -27,7 +27,18 @@
 /// du/dy = 0, which also zeroes the wall vorticity), (b) an
 /// antisymmetric v ghost making lap_v vanish on the wall row, and (c)
 /// forcing dv = 0 on the wall row.
+///
+/// Layout: each pass is a row kernel (namespace rhs_row) over raw row
+/// pointers. The caller picks the neighbour rows once per row - the
+/// evaluator below its wrapped or wall-mirrored rows, the distributed
+/// model its halo rows - and the kernel peels the periodic wrap
+/// columns i = 0 and i = nx-1, so the interior loop indexes i-1/i+1
+/// with no branch and the compiler vectorizes it. Every per-element
+/// expression keeps its operand order, and the tree builds with
+/// -ffp-contract=off, so the vector lanes round exactly like the
+/// scalar code (tests/swm_golden_test pins the trajectories).
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -49,6 +60,158 @@ struct tendencies {
   tendencies(int nx, int ny) : du(nx, ny), dv(nx, ny), deta(nx, ny) {}
 };
 
+/// The per-row scalars of the momentum passes at global row `j`: the
+/// Coriolis increments at the u-point (cell centre row) and the
+/// v-point (face row), and the double-gyre wind-stress increment.
+/// Formed in double and rounded once into T.
+template <typename T>
+struct row_forcing {
+  T dt_cor_u{}, dt_cor_v{}, wind_u{};
+
+  static row_forcing at(const swm_params& p, int j) {
+    const double dt = p.dt();
+    const double dy = p.dy();
+    const double s = std::ldexp(1.0, p.log2_scale);
+    const double y_center = (j + 0.5) * dy - 0.5 * p.Ly;
+    const double y_face = j * dy - 0.5 * p.Ly;
+    row_forcing f;
+    f.dt_cor_u = T(dt * (p.coriolis_f0 + p.coriolis_beta * y_center));
+    f.dt_cor_v = T(dt * (p.coriolis_f0 + p.coriolis_beta * y_face));
+    // Double-gyre wind profile, periodic-compatible.
+    f.wind_u = T(-dt * s * p.wind_stress / (p.rho * p.depth) *
+                 std::cos(2.0 * M_PI * (j + 0.5) / p.ny));
+    return f;
+  }
+};
+
+/// The five RHS passes as kernels over one grid row. Arguments are the
+/// row's output(s), then the input rows: `x` is row j of field x,
+/// `x_below`/`x_above` the rows the caller chose as its j-1/j+1
+/// neighbours. All rows are nx long and no output aliases an input.
+/// The coefficients come by value, so no output store can alias them
+/// and the compiler keeps them in registers across the row.
+namespace rhs_row {
+
+/// Call cell(i, im, ip) for i = 0..nx-1 in order, with the periodic
+/// x-neighbours im/ip: the two wrap columns peeled, the interior with
+/// plain i-1/i+1 (branch-free, so it vectorizes once inlined).
+template <typename Cell>
+inline void peeled(int nx, Cell&& cell) {
+  if (nx == 1) {
+    cell(0, 0, 0);
+    return;
+  }
+  cell(0, nx - 1, 1);
+  for (int i = 1; i < nx - 1; ++i) cell(i, i - 1, i + 1);
+  cell(nx - 1, nx - 2, 0);
+}
+
+// Pass 1: relative vorticity (grid units, scale s) at corner points
+// and kinetic energy at centres. The KE is kept at scale s (not s^2):
+// one factor of each square is pre-multiplied by the exact inv_s so no
+// intermediate overflows Float16 at large s.
+template <typename T>
+void vorticity_ke(T* __restrict zeta, T* __restrict ke,
+                  const T* __restrict u, const T* __restrict u_below,
+                  const T* __restrict v, const T* __restrict v_above,
+                  int nx, const coefficients<T> c) {
+  peeled(nx, [&](int i, int im, int ip) {
+    zeta[i] = (v[i] - v[im]) - (u[i] - u_below[i]);
+    const T ubar = c.half * (u[i] + u[ip]);
+    const T vbar = c.half * (v[i] + v_above[i]);
+    ke[i] = c.half * (ubar * (c.inv_s * ubar) + vbar * (c.inv_s * vbar));
+  });
+}
+
+// Pass 2: five-point Laplacian (grid units) of one velocity component.
+template <typename T>
+void laplacian(T* __restrict lap, const T* __restrict f,
+               const T* __restrict f_below, const T* __restrict f_above,
+               int nx) {
+  const T four = T(4);
+  peeled(nx, [&](int i, int im, int ip) {
+    lap[i] = f[ip] + f[im] + f_above[i] + f_below[i] - four * f[i];
+  });
+}
+
+// Pass 3: u-momentum increment.
+template <typename T>
+void u_momentum(T* __restrict du, const T* __restrict u,
+                const T* __restrict v, const T* __restrict v_above,
+                const T* __restrict zeta, const T* __restrict zeta_above,
+                const T* __restrict lap, const T* __restrict lap_below,
+                const T* __restrict lap_above, const T* __restrict h,
+                const T* __restrict ke, int nx, const coefficients<T> c,
+                const row_forcing<T>& row) {
+  const T dtf = row.dt_cor_u;
+  const T wind = row.wind_u;
+  const T four = T(4);
+  peeled(nx, [&](int i, int im, int ip) {
+    // v averaged to the u-point; vorticity averaged to the u-point.
+    const T vbar = c.quarter * (v[im] + v[i] + v_above[im] + v_above[i]);
+    // De-scale the vorticity factor (exact) before the product so
+    // zbar*vbar carries scale s, not s^2.
+    const T zbar = c.inv_s * (c.half * (zeta[i] + zeta_above[i]));
+    const T biharm =
+        lap[ip] + lap[im] + lap_above[i] + lap_below[i] - four * lap[i];
+    du[i] = dtf * vbar                     // linear Coriolis
+            + c.dtdx * (zbar * vbar)       // vorticity advection
+            - c.g_dtdx * (h[i] - h[im])    // pressure gradient
+            - c.dtdx * (ke[i] - ke[im])    // KE gradient
+            + wind                         // wind stress
+            - c.dt_drag * u[i]             // bottom drag
+            - c.dt_visc * biharm;          // biharmonic
+  });
+}
+
+// Pass 4: v-momentum increment.
+template <typename T>
+void v_momentum(T* __restrict dv, const T* __restrict v,
+                const T* __restrict u, const T* __restrict u_below,
+                const T* __restrict zeta, const T* __restrict lap,
+                const T* __restrict lap_below, const T* __restrict lap_above,
+                const T* __restrict h, const T* __restrict h_below,
+                const T* __restrict ke, const T* __restrict ke_below, int nx,
+                const coefficients<T> c, const row_forcing<T>& row) {
+  const T dtf = row.dt_cor_v;
+  const T four = T(4);
+  peeled(nx, [&](int i, int im, int ip) {
+    const T ubar = c.quarter * (u_below[i] + u[i] + u_below[ip] + u[ip]);
+    const T zbar = c.inv_s * (c.half * (zeta[i] + zeta[ip]));
+    const T biharm =
+        lap[ip] + lap[im] + lap_above[i] + lap_below[i] - four * lap[i];
+    dv[i] = -dtf * ubar
+            - c.dtdx * (zbar * ubar)
+            - c.g_dtdy * (h[i] - h_below[i])
+            - c.dtdy * (ke[i] - ke_below[i])
+            - c.dt_drag * v[i]
+            - c.dt_visc * biharm;
+  });
+}
+
+// Pass 5: continuity. Linear part with h0, nonlinear flux with the
+// scaled surface displacement (one exact /s via the coefficient).
+template <typename T>
+void continuity(T* __restrict deta, const T* __restrict u,
+                const T* __restrict v, const T* __restrict v_above,
+                const T* __restrict h, const T* __restrict h_below,
+                const T* __restrict h_above, int nx,
+                const coefficients<T> c) {
+  peeled(nx, [&](int i, int im, int ip) {
+    const T div =
+        c.h0_dtdx * (u[ip] - u[i]) + c.h0_dtdy * (v_above[i] - v[i]);
+    // Fluxes u*eta at faces: de-scale the interpolated eta (exact) so
+    // U * etabar carries scale s, not s^2.
+    const T fx_e = u[ip] * (c.inv_s * (c.half * (h[i] + h[ip])));
+    const T fx_w = u[i] * (c.inv_s * (c.half * (h[im] + h[i])));
+    const T fy_n = v_above[i] * (c.inv_s * (c.half * (h[i] + h_above[i])));
+    const T fy_s = v[i] * (c.inv_s * (c.half * (h_below[i] + h[i])));
+    deta[i] = -div - c.dtdx * (fx_e - fx_w) - c.dtdy * (fy_n - fy_s);
+  });
+}
+
+}  // namespace rhs_row
+
 template <typename T>
 class rhs_evaluator {
  public:
@@ -60,23 +223,9 @@ class rhs_evaluator {
         lap_u_(p.nx, p.ny),
         lap_v_(p.nx, p.ny) {
     TFX_EXPECTS(std::abs(p.dx() - p.dy()) < 1e-9 * p.dx());
-    const double dt = p.dt();
-    const double dy = p.dy();
-    dt_cor_u_.resize(static_cast<std::size_t>(p.ny));
-    dt_cor_v_.resize(static_cast<std::size_t>(p.ny));
-    wind_u_.resize(static_cast<std::size_t>(p.ny));
-    const double s = coeffs_.scale;
+    forcing_.reserve(static_cast<std::size_t>(p.ny));
     for (int j = 0; j < p.ny; ++j) {
-      const double y_center = (j + 0.5) * dy - 0.5 * p.Ly;
-      const double y_face = j * dy - 0.5 * p.Ly;
-      dt_cor_u_[static_cast<std::size_t>(j)] =
-          T(dt * (p.coriolis_f0 + p.coriolis_beta * y_center));
-      dt_cor_v_[static_cast<std::size_t>(j)] =
-          T(dt * (p.coriolis_f0 + p.coriolis_beta * y_face));
-      // Double-gyre wind profile, periodic-compatible.
-      wind_u_[static_cast<std::size_t>(j)] =
-          T(-dt * s * p.wind_stress / (p.rho * p.depth) *
-            std::cos(2.0 * M_PI * (j + 0.5) / p.ny));
+      forcing_.push_back(row_forcing<T>::at(p, j));
     }
   }
 
@@ -142,8 +291,10 @@ class rhs_evaluator {
   }
 
   /// Array sweeps per evaluation (reads + writes of full fields), used
-  /// by the performance model's traffic accounting. Derived from the
-  /// five passes below: see perfmodel.hpp.
+  /// by the performance model's traffic accounting (perfmodel.cpp).
+  /// Counted from the five passes, reads 2 + 2 + 6 + 6 + 3 and writes
+  /// 2 + 2 + 1 + 1 + 1 (a row kernel re-reading a neighbour row of a
+  /// field it already streams is not a new sweep).
   static constexpr double array_reads = 19.0;
   static constexpr double array_writes = 7.0;
 
@@ -169,34 +320,22 @@ class rhs_evaluator {
                       static_cast<int>(hi));
   }
 
-  // Pass 1: relative vorticity (grid units, scale s) at corner points
-  // and kinetic energy at centres. The KE is kept at scale s (not
-  // s^2): one factor of each square is pre-multiplied by the exact
-  // inv_s so no intermediate overflows Float16 at large s.
+  // The passes below pick each row's y-neighbours (periodic wrap, or
+  // the channel's wall mirror) and hand the rows to rhs_row.
+
+  // Pass 1. In the channel, u mirrors across the south wall.
   void pass_vorticity_ke(const state<T>& st, int j0, int j1) {
-    const int nx = st.nx();
     const auto& U = st.u;
     const auto& V = st.v;
-    const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
     for (int j = j0; j < j1; ++j) {
-      const int jm = channel_ && j == 0 ? 0 : H.jm(j);  // u mirrored at wall
-      const int jp = H.jp(j);
-      for (int i = 0; i < nx; ++i) {
-        const int im = H.im(i);
-        const int ip = H.ip(i);
-        zeta_(i, j) = (V(i, j) - V(im, j)) - (U(i, j) - U(i, jm));
-        const T ubar = c.half * (U(i, j) + U(ip, j));
-        const T vbar = c.half * (V(i, j) + V(i, jp));
-        ke_(i, j) = c.half * (ubar * (c.inv_s * ubar) +
-                              vbar * (c.inv_s * vbar));
-      }
+      const int jm = channel_ && j == 0 ? 0 : U.jm(j);
+      rhs_row::vorticity_ke(&zeta_(0, j), &ke_(0, j), &U(0, j), &U(0, jm),
+                            &V(0, j), &V(0, V.jp(j)), st.nx(), coeffs_);
     }
   }
 
-  // Pass 2: Laplacians (grid units) of both velocity components. In
-  // the channel, u mirrors across the walls (free slip) and the
-  // antisymmetric v ghost plus v = 0 on the wall row make lap_v
+  // Pass 2. In the channel, u mirrors across the walls (free slip) and
+  // the antisymmetric v ghost plus v = 0 on the wall row make lap_v
   // vanish there.
   void pass_laplacians(const state<T>& st, int j0, int j1) {
     const int nx = st.nx();
@@ -208,119 +347,66 @@ class rhs_evaluator {
       const int jp = U.jp(j);
       const int jm_u = channel_ && j == 0 ? 0 : jm;
       const int jp_u = channel_ && j == ny - 1 ? j : jp;
-      const bool wall_v = channel_ && j == 0;
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        const T four = T(4);
-        lap_u_(i, j) = U(ip, j) + U(im, j) + U(i, jp_u) + U(i, jm_u) -
-                       four * U(i, j);
-        lap_v_(i, j) = wall_v ? T{}
-                              : V(ip, j) + V(im, j) + V(i, jp) + V(i, jm) -
-                                    four * V(i, j);
+      rhs_row::laplacian(&lap_u_(0, j), &U(0, j), &U(0, jm_u), &U(0, jp_u),
+                         nx);
+      if (channel_ && j == 0) {
+        std::fill_n(&lap_v_(0, j), nx, T{});
+      } else {
+        rhs_row::laplacian(&lap_v_(0, j), &V(0, j), &V(0, jm), &V(0, jp),
+                           nx);
       }
     }
   }
 
-  // Pass 3: u-momentum increment.
+  // Pass 3. In the channel, lap_u mirrors across the walls.
   void pass_u_momentum(const state<T>& st, tendencies<T>& out, int j0,
                        int j1) {
-    const int nx = st.nx();
     const int ny = st.ny();
     const auto& U = st.u;
     const auto& V = st.v;
-    const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
     for (int j = j0; j < j1; ++j) {
       const int jp = U.jp(j);
       const int jm = channel_ && j == 0 ? 0 : U.jm(j);
       const int jp_u = channel_ && j == ny - 1 ? j : jp;
-      const T dtf = dt_cor_u_[static_cast<std::size_t>(j)];
-      const T wind = wind_u_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        // v averaged to the u-point; vorticity averaged to the u-point.
-        const T vbar = c.quarter *
-                       (V(im, j) + V(i, j) + V(im, jp) + V(i, jp));
-        // De-scale the vorticity factor (exact) before the product so
-        // zbar*vbar carries scale s, not s^2.
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(i, jp)));
-        const T biharm = lap_u_(ip, j) + lap_u_(im, j) + lap_u_(i, jp_u) +
-                         lap_u_(i, jm) - T(4) * lap_u_(i, j);
-        out.du(i, j) = dtf * vbar                        // linear Coriolis
-                       + c.dtdx * (zbar * vbar)          // vorticity advection
-                       - c.g_dtdx * (H(i, j) - H(im, j)) // pressure gradient
-                       - c.dtdx * (ke_(i, j) - ke_(im, j))  // KE gradient
-                       + wind                             // wind stress
-                       - c.dt_drag * U(i, j)              // bottom drag
-                       - c.dt_visc * biharm;              // biharmonic
-      }
+      rhs_row::u_momentum(&out.du(0, j), &U(0, j), &V(0, j), &V(0, jp),
+                          &zeta_(0, j), &zeta_(0, jp), &lap_u_(0, j),
+                          &lap_u_(0, jm), &lap_u_(0, jp_u), &st.eta(0, j),
+                          &ke_(0, j), st.nx(), coeffs_,
+                          forcing_[static_cast<std::size_t>(j)]);
     }
   }
 
-  // Pass 4: v-momentum increment. In the channel the j = 0 row IS
-  // the wall (and, via the wrap, the north wall too): no flow ever.
+  // Pass 4. In the channel the j = 0 row IS the wall (and, via the
+  // wrap, the north wall too): no flow ever.
   void pass_v_momentum(const state<T>& st, tendencies<T>& out, int j0,
                        int j1) {
     const int nx = st.nx();
     const auto& U = st.u;
     const auto& V = st.v;
     const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
     for (int j = j0; j < j1; ++j) {
       if (channel_ && j == 0) {
-        for (int i = 0; i < nx; ++i) out.dv(i, j) = T{};
+        std::fill_n(&out.dv(0, j), nx, T{});
         continue;
       }
       const int jm = V.jm(j);
-      const int jp = V.jp(j);
-      const T dtf = dt_cor_v_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = V.im(i);
-        const int ip = V.ip(i);
-        const T ubar = c.quarter *
-                       (U(i, jm) + U(i, j) + U(ip, jm) + U(ip, j));
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(ip, j)));
-        const T biharm = lap_v_(ip, j) + lap_v_(im, j) + lap_v_(i, jp) +
-                         lap_v_(i, jm) - T(4) * lap_v_(i, j);
-        out.dv(i, j) = -dtf * ubar
-                       - c.dtdx * (zbar * ubar)
-                       - c.g_dtdy * (H(i, j) - H(i, jm))
-                       - c.dtdy * (ke_(i, j) - ke_(i, jm))
-                       - c.dt_drag * V(i, j)
-                       - c.dt_visc * biharm;
-      }
+      rhs_row::v_momentum(&out.dv(0, j), &V(0, j), &U(0, j), &U(0, jm),
+                          &zeta_(0, j), &lap_v_(0, j), &lap_v_(0, jm),
+                          &lap_v_(0, V.jp(j)), &H(0, j), &H(0, jm),
+                          &ke_(0, j), &ke_(0, jm), nx, coeffs_,
+                          forcing_[static_cast<std::size_t>(j)]);
     }
   }
 
-  // Pass 5: continuity. Linear part with h0, nonlinear flux with the
-  // scaled surface displacement (one exact /s via the coefficient).
+  // Pass 5.
   void pass_continuity(const state<T>& st, tendencies<T>& out, int j0,
                        int j1) {
-    const int nx = st.nx();
-    const auto& U = st.u;
-    const auto& V = st.v;
     const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
     for (int j = j0; j < j1; ++j) {
-      const int jm = H.jm(j);
       const int jp = H.jp(j);
-      for (int i = 0; i < nx; ++i) {
-        const int im = H.im(i);
-        const int ip = H.ip(i);
-        const T div =
-            c.h0_dtdx * (U(ip, j) - U(i, j)) +
-            c.h0_dtdy * (V(i, jp) - V(i, j));
-        // Fluxes u*eta at faces: de-scale the interpolated eta (exact)
-        // so U * etabar carries scale s, not s^2.
-        const T fx_e = U(ip, j) * (c.inv_s * (c.half * (H(i, j) + H(ip, j))));
-        const T fx_w = U(i, j) * (c.inv_s * (c.half * (H(im, j) + H(i, j))));
-        const T fy_n = V(i, jp) * (c.inv_s * (c.half * (H(i, j) + H(i, jp))));
-        const T fy_s = V(i, j) * (c.inv_s * (c.half * (H(i, jm) + H(i, j))));
-        out.deta(i, j) = -div - c.dtdx * (fx_e - fx_w) -
-                         c.dtdy * (fy_n - fy_s);
-      }
+      rhs_row::continuity(&out.deta(0, j), &st.u(0, j), &st.v(0, j),
+                          &st.v(0, jp), &H(0, j), &H(0, H.jm(j)), &H(0, jp),
+                          st.nx(), coeffs_);
     }
   }
 
@@ -328,7 +414,7 @@ class rhs_evaluator {
   pass_ctx ctx_;
   coefficients<T> coeffs_;
   bool channel_ = false;
-  std::vector<T> dt_cor_u_, dt_cor_v_, wind_u_;
+  std::vector<row_forcing<T>> forcing_;
   field2d<T> zeta_, ke_, lap_u_, lap_v_;
 };
 

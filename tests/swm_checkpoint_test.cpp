@@ -14,6 +14,7 @@
 #include "swm/checkpoint.hpp"
 #include "swm/diagnostics.hpp"
 #include "swm/model.hpp"
+#include "temp_dir.hpp"
 
 using namespace tfx::swm;
 using tfx::fp::bfloat16;
@@ -28,11 +29,19 @@ swm_params small_params() {
   return p;
 }
 
-const char* tmp_path() { return "/tmp/tfx_checkpoint_test.bin"; }
-
 }  // namespace
 
-TEST(Checkpoint, RoundTripFloat64) {
+/// Checkpoint tests write into a directory of their own.
+class checkpoint_test : public tfx_test::temp_dir_test {
+ protected:
+  [[nodiscard]] std::string tmp_path() const {
+    return temp_path("checkpoint.bin");
+  }
+};
+class Checkpoint : public checkpoint_test {};
+class CheckpointV2 : public checkpoint_test {};
+
+TEST_F(Checkpoint, RoundTripFloat64) {
   const swm_params p = small_params();
   model<double> m(p);
   m.seed_random_eddies(5, 0.5);
@@ -52,7 +61,7 @@ TEST(Checkpoint, RoundTripFloat64) {
   }
 }
 
-TEST(Checkpoint, RestartContinuesTheTrajectoryExactly) {
+TEST_F(Checkpoint, RestartContinuesTheTrajectoryExactly) {
   // run 40 straight == run 20, checkpoint, restore into a fresh model,
   // run 20 more (standard scheme: no compensation state to lose).
   const swm_params p = small_params();
@@ -79,7 +88,7 @@ TEST(Checkpoint, RestartContinuesTheTrajectoryExactly) {
   }
 }
 
-TEST(Checkpoint, Float16BitsSurviveExactly) {
+TEST_F(Checkpoint, Float16BitsSurviveExactly) {
   swm_params p = small_params();
   p.log2_scale = 12;
   model<float16> m(p, integration_scheme::compensated);
@@ -96,7 +105,7 @@ TEST(Checkpoint, Float16BitsSurviveExactly) {
   }
 }
 
-TEST(Checkpoint, ElementSizeMismatchRejected) {
+TEST_F(Checkpoint, ElementSizeMismatchRejected) {
   const swm_params p = small_params();
   model<double> m(p);
   m.seed_random_eddies(8, 0.5);
@@ -106,17 +115,17 @@ TEST(Checkpoint, ElementSizeMismatchRejected) {
   EXPECT_FALSE(load_checkpoint<float16>(tmp_path()).has_value());
 }
 
-TEST(Checkpoint, MissingOrCorruptFileRejected) {
-  EXPECT_FALSE(load_checkpoint<double>("/tmp/tfx_no_such_file").has_value());
+TEST_F(Checkpoint, MissingOrCorruptFileRejected) {
+  EXPECT_FALSE(load_checkpoint<double>(temp_path("no_such_file")).has_value());
   // Corrupt the magic.
-  FILE* f = std::fopen(tmp_path(), "wb");
+  FILE* f = std::fopen(tmp_path().c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("NOTACKPT", f);
   std::fclose(f);
   EXPECT_FALSE(load_checkpoint<double>(tmp_path()).has_value());
 }
 
-TEST(Checkpoint, CrossPrecisionHandoff) {
+TEST_F(Checkpoint, CrossPrecisionHandoff) {
   // The deployment pattern: spin up at Float64, hand off to Float16.
   swm_params p = small_params();
   model<double> spinup(p);
@@ -192,15 +201,15 @@ void expect_state_bits_equal(const state<T>& a, const state<T>& b) {
 /// Save/load at element type T and require a bit-exact round trip of
 /// fields, compensation, and metadata.
 template <typename T>
-void round_trip_with_compensation() {
+void round_trip_with_compensation(const std::string& path) {
   const int nx = 12, ny = 6;
   const state<T> fields = patterned_state<T>(nx, ny);
   state<T> comp = patterned_state<T>(nx, ny);
   for (auto& x : comp.eta.flat()) x = T(static_cast<double>(x) * 0.125);
   const checkpoint_info info{nx, ny, 77, 2.5};
-  ASSERT_TRUE(save_checkpoint(fields, comp, info, tmp_path()));
+  ASSERT_TRUE(save_checkpoint(fields, comp, info, path));
 
-  const auto loaded = load_checkpoint_full<T>(tmp_path());
+  const auto loaded = load_checkpoint_full<T>(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->info.nx, nx);
   EXPECT_EQ(loaded->info.ny, ny);
@@ -213,40 +222,40 @@ void round_trip_with_compensation() {
 
 }  // namespace
 
-TEST(CheckpointV2, RoundTripAllElementTypes) {
-  round_trip_with_compensation<double>();
-  round_trip_with_compensation<float>();
-  round_trip_with_compensation<float16>();
-  round_trip_with_compensation<bfloat16>();
+TEST_F(CheckpointV2, RoundTripAllElementTypes) {
+  round_trip_with_compensation<double>(tmp_path());
+  round_trip_with_compensation<float>(tmp_path());
+  round_trip_with_compensation<float16>(tmp_path());
+  round_trip_with_compensation<bfloat16>(tmp_path());
 }
 
-TEST(CheckpointV2, MagicIsTfxswm2AndNoTmpFileSurvives) {
+TEST_F(CheckpointV2, MagicIsTfxswm2AndNoTmpFileSurvives) {
   const state<double> s = patterned_state<double>(8, 4);
   ASSERT_TRUE(save_checkpoint(s, checkpoint_info{8, 4, 1, 1.0}, tmp_path()));
   const auto buf = read_file(tmp_path());
   ASSERT_GE(buf.size(), 8u);
   EXPECT_EQ(0, std::memcmp(buf.data(), "TFXSWM2\0", 8));
-  EXPECT_FALSE(file_exists(std::string(tmp_path()) + ".tmp"));
+  EXPECT_FALSE(file_exists(tmp_path() + ".tmp"));
 }
 
-TEST(CheckpointV2, FailedSaveLeavesPreviousCheckpointIntact) {
+TEST_F(CheckpointV2, FailedSaveLeavesPreviousCheckpointIntact) {
   const state<double> good = patterned_state<double>(8, 4);
   ASSERT_TRUE(
       save_checkpoint(good, checkpoint_info{8, 4, 11, 1.0}, tmp_path()));
   // A save into a nonexistent directory must fail loudly...
   EXPECT_FALSE(save_checkpoint(good, checkpoint_info{8, 4, 12, 1.0},
-                               "/tmp/tfx_no_such_dir_xyz/ckpt.bin"));
+                               temp_path("no_such_dir/ckpt.bin")));
   // ...and the earlier file must still load (atomic-rename discipline).
   const auto loaded = load_checkpoint_full<double>(tmp_path());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->info.steps_taken, 11u);
 }
 
-TEST(CheckpointV2, TruncationRejectedAtEveryLength) {
+TEST_F(CheckpointV2, TruncationRejectedAtEveryLength) {
   const state<double> s = patterned_state<double>(8, 4);
   ASSERT_TRUE(save_checkpoint(s, checkpoint_info{8, 4, 3, 1.0}, tmp_path()));
   const auto full = read_file(tmp_path());
-  const std::string cut = std::string(tmp_path()) + ".cut";
+  const std::string cut = tmp_path() + ".cut";
   for (const std::size_t keep :
        {full.size() - 1, full.size() - 8, full.size() - 9, full.size() / 2,
         std::size_t{44}, std::size_t{7}}) {
@@ -262,11 +271,11 @@ TEST(CheckpointV2, TruncationRejectedAtEveryLength) {
   std::remove(cut.c_str());
 }
 
-TEST(CheckpointV2, BitFlipAnywhereRejected) {
+TEST_F(CheckpointV2, BitFlipAnywhereRejected) {
   const state<double> s = patterned_state<double>(8, 4);
   ASSERT_TRUE(save_checkpoint(s, checkpoint_info{8, 4, 3, 1.0}, tmp_path()));
   const auto full = read_file(tmp_path());
-  const std::string bad = std::string(tmp_path()) + ".flip";
+  const std::string bad = tmp_path() + ".flip";
   // Flip one bit in the payload, in the header metadata, and in the
   // CRC footer itself: all must be caught.
   for (const std::size_t at :
@@ -280,12 +289,12 @@ TEST(CheckpointV2, BitFlipAnywhereRejected) {
   std::remove(bad.c_str());
 }
 
-TEST(CheckpointV2, WrongMagicAndWrongElementSizeRejected) {
+TEST_F(CheckpointV2, WrongMagicAndWrongElementSizeRejected) {
   const state<double> s = patterned_state<double>(8, 4);
   ASSERT_TRUE(save_checkpoint(s, checkpoint_info{8, 4, 3, 1.0}, tmp_path()));
   auto buf = read_file(tmp_path());
   buf[6] = '3';  // "TFXSWM3" - a future version is not silently loaded
-  const std::string bad = std::string(tmp_path()) + ".magic";
+  const std::string bad = tmp_path() + ".magic";
   write_file(bad, buf);
   EXPECT_FALSE(load_checkpoint_full<double>(bad).has_value());
   std::remove(bad.c_str());
@@ -294,7 +303,7 @@ TEST(CheckpointV2, WrongMagicAndWrongElementSizeRejected) {
   EXPECT_FALSE(load_checkpoint_full<bfloat16>(tmp_path()).has_value());
 }
 
-TEST(CheckpointV2, V1FilesStillLoadAndTruncatedV1Rejected) {
+TEST_F(CheckpointV2, V1FilesStillLoadAndTruncatedV1Rejected) {
   // Hand-write a v1 file (no flags, no CRC) byte for byte.
   const int nx = 6, ny = 4;
   const state<float> s = patterned_state<float>(nx, ny);
@@ -315,7 +324,7 @@ TEST(CheckpointV2, V1FilesStillLoadAndTruncatedV1Rejected) {
   for (const auto* f : {&s.u, &s.v, &s.eta}) {
     put(f->flat().data(), f->flat().size() * sizeof(float));
   }
-  const std::string v1 = std::string(tmp_path()) + ".v1";
+  const std::string v1 = tmp_path() + ".v1";
   write_file(v1, buf);
 
   const auto loaded = load_checkpoint_full<float>(v1);
@@ -336,7 +345,7 @@ TEST(CheckpointV2, V1FilesStillLoadAndTruncatedV1Rejected) {
   std::remove(v1.c_str());
 }
 
-TEST(CheckpointV2, CompensatedRestartContinuesBitExactly) {
+TEST_F(CheckpointV2, CompensatedRestartContinuesBitExactly) {
   // The reason compensation is persisted at all: a Kahan-compensated
   // integration restarted without its residuals drifts off the
   // straight-through trajectory; with them it is bit-identical.

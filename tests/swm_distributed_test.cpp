@@ -151,8 +151,6 @@ TEST(Distributed, SlabIndexingAndHalos) {
   EXPECT_EQ(s.interior()[0], 5.0);
   EXPECT_EQ(s.interior().size(), 12u);
   EXPECT_EQ(s.row(0).size(), 4u);
-  EXPECT_EQ(s.ip(3), 0);
-  EXPECT_EQ(s.im(0), 3);
 }
 
 TEST(Distributed, HaloExchangeMovesNeighbourRows) {

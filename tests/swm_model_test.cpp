@@ -8,6 +8,7 @@
 #include "swm/diagnostics.hpp"
 #include "swm/model.hpp"
 #include "swm/output.hpp"
+#include "temp_dir.hpp"
 
 using namespace tfx::swm;
 
@@ -249,14 +250,17 @@ TEST(Diagnostics, CorrelationAndRmse) {
   EXPECT_GT(rmse(a, b), 0.0);
 }
 
-TEST(Output, PgmAndCsvFiles) {
+class Output : public tfx_test::temp_dir_test {};
+
+TEST_F(Output, PgmAndCsvFiles) {
   field2d<double> f(16, 8);
   for (int j = 0; j < 8; ++j)
     for (int i = 0; i < 16; ++i) f(i, j) = std::sin(0.3 * i) * j;
-  EXPECT_TRUE(write_pgm(f, "/tmp/tfx_test_field.pgm"));
-  EXPECT_TRUE(write_csv(f, "/tmp/tfx_test_field.csv"));
+  const std::string pgm = temp_path("field.pgm");
+  EXPECT_TRUE(write_pgm(f, pgm));
+  EXPECT_TRUE(write_csv(f, temp_path("field.csv")));
   // PGM header sanity.
-  FILE* fp = std::fopen("/tmp/tfx_test_field.pgm", "rb");
+  FILE* fp = std::fopen(pgm.c_str(), "rb");
   ASSERT_NE(fp, nullptr);
   char magic[3] = {};
   ASSERT_EQ(std::fread(magic, 1, 2, fp), 2u);

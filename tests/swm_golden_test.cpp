@@ -2,7 +2,9 @@
 // the prognostic and Kahan compensation bits after a fixed number of
 // steps, across precisions, boundary conditions, the periodic-wrap
 // edge cases (nx = 1, 2 and odd nx), pool sizes and the distributed
-// model in every halo mode.
+// model in every halo mode. Every Float16 case also pins the exact
+// fp event counters (subnormal, flushed, overflow and NaN results) of
+// the whole run, in both FTZ modes.
 //
 // The other bit-identity suites compare one RHS implementation with
 // itself (fused vs unfused, serial vs distributed, pool sizes); these
@@ -79,10 +81,22 @@ std::string hex(std::uint64_t h) {
   return os.str();
 }
 
+/// The calling thread's fp event counters, as one comparable string.
+std::string events(const fp::fp_counters& c) {
+  std::ostringstream os;
+  os << "subnormal=" << c.f16_subnormal_results
+     << " flushed=" << c.f16_flushed_results
+     << " overflow=" << c.f16_overflows << " nan=" << c.f16_nans;
+  return os.str();
+}
+
 /// Serial model from the standard seed; `threads` > 0 attaches a pool.
+/// The calling thread's counters are reset first, so after a serial
+/// run they hold the run's events.
 template <typename T, typename Tprog = T>
 std::uint64_t serial_hash(const swm_params& p, integration_scheme scheme,
                           int threads = 0) {
+  fp::counters().reset();
   model<T, Tprog> m(p, scheme);
   thread_pool pool(threads > 0 ? threads : 1);
   if (threads > 0) m.attach_pool(&pool);
@@ -137,6 +151,26 @@ constexpr std::uint64_t bf16_compensated = 0xe161d48a687edf13ull;
 constexpr std::uint64_t mixed_f16_f32 = 0xae6818f78a32da88ull;
 constexpr std::uint64_t f64_compensated = 0xd93db75bc944bf97ull;
 
+// Recorded before the soft-float lane kernels replaced the scalar
+// Float16/BFloat16 loops.
+constexpr std::uint64_t f16_preserve = 0xecf5eae219cb432bull;
+constexpr std::uint64_t f16_nx9 = 0x5c0b934f61a72c87ull;
+constexpr std::uint64_t f16_nx33 = 0x5d73f58e50792e0aull;
+constexpr std::uint64_t bf16_nx9 = 0x479c06fe441d4cb0ull;
+constexpr std::uint64_t bf16_nx33 = 0x803e0d479e03fc42ull;
+constexpr const char* f16_periodic_events =
+    "subnormal=368 flushed=368 overflow=0 nan=0";
+constexpr const char* f16_channel_events =
+    "subnormal=329 flushed=329 overflow=0 nan=0";
+constexpr const char* mixed_events =
+    "subnormal=375 flushed=375 overflow=0 nan=0";
+constexpr const char* f16_preserve_events =
+    "subnormal=415 flushed=0 overflow=0 nan=0";
+constexpr const char* f16_nx9_events =
+    "subnormal=116 flushed=116 overflow=0 nan=0";
+constexpr const char* f16_nx33_events =
+    "subnormal=363 flushed=363 overflow=0 nan=0";
+
 }  // namespace
 
 TEST(SwmGolden, Float64Periodic) {
@@ -186,6 +220,7 @@ TEST(SwmGolden, Float16CompensatedPeriodic) {
   EXPECT_EQ(hex(serial_hash<float16>(grid(32, 16, boundary::periodic, 11),
                                      integration_scheme::compensated)),
             hex(f16_compensated_periodic));
+  EXPECT_EQ(events(fp::counters()), f16_periodic_events);
 }
 
 TEST(SwmGolden, Float16CompensatedChannel) {
@@ -193,6 +228,7 @@ TEST(SwmGolden, Float16CompensatedChannel) {
   EXPECT_EQ(hex(serial_hash<float16>(grid(32, 16, boundary::channel, 11),
                                      integration_scheme::compensated)),
             hex(f16_compensated_channel));
+  EXPECT_EQ(events(fp::counters()), f16_channel_events);
 }
 
 TEST(SwmGolden, BFloat16Compensated) {
@@ -207,6 +243,46 @@ TEST(SwmGolden, MixedFloat16Float32) {
                 grid(32, 16, boundary::periodic, 11),
                 integration_scheme::standard)),
             hex(mixed_f16_f32));
+  EXPECT_EQ(events(fp::counters()), mixed_events);
+}
+
+// Gradual underflow: subnormal results are counted and kept.
+TEST(SwmGolden, Float16CompensatedPreserve) {
+  const fp::ftz_guard ftz(fp::ftz_mode::preserve);
+  EXPECT_EQ(hex(serial_hash<float16>(grid(32, 16, boundary::periodic, 11),
+                                     integration_scheme::compensated)),
+            hex(f16_preserve));
+  EXPECT_EQ(events(fp::counters()), f16_preserve_events);
+}
+
+// Odd widths: the wrap columns plus an interior that is not a whole
+// number of vector blocks.
+TEST(SwmGolden, Float16CompensatedNx9) {
+  const fp::ftz_guard ftz(fp::ftz_mode::flush);
+  EXPECT_EQ(hex(serial_hash<float16>(grid(9, 16, boundary::periodic, 11),
+                                     integration_scheme::compensated)),
+            hex(f16_nx9));
+  EXPECT_EQ(events(fp::counters()), f16_nx9_events);
+}
+
+TEST(SwmGolden, Float16CompensatedNx33) {
+  const fp::ftz_guard ftz(fp::ftz_mode::flush);
+  EXPECT_EQ(hex(serial_hash<float16>(grid(33, 16, boundary::periodic, 11),
+                                     integration_scheme::compensated)),
+            hex(f16_nx33));
+  EXPECT_EQ(events(fp::counters()), f16_nx33_events);
+}
+
+TEST(SwmGolden, BFloat16CompensatedNx9) {
+  EXPECT_EQ(hex(serial_hash<bfloat16>(grid(9, 16),
+                                      integration_scheme::compensated)),
+            hex(bf16_nx9));
+}
+
+TEST(SwmGolden, BFloat16CompensatedNx33) {
+  EXPECT_EQ(hex(serial_hash<bfloat16>(grid(33, 16),
+                                      integration_scheme::compensated)),
+            hex(bf16_nx33));
 }
 
 TEST(SwmGolden, Float64PoolOfFourPeriodic) {

@@ -98,6 +98,9 @@ int main() {
   const auto& f = arch::host_features();
   std::printf("host isa: %s (max native width %zu bits)\n", f.isa.data(),
               f.max_vector_bits);
+  constexpr arch::compiled_isa c = arch::compiled_features();
+  std::printf("compiled isa: avx2=%d f16c=%d avx512f=%d\n", c.avx2, c.f16c,
+              c.avx512f);
   std::printf("width policy: default %zu, current %zu\n",
               kernels::default_simd_width(), kernels::simd_width());
   std::printf("preferred backend: %s\n",

@@ -24,6 +24,7 @@ cpu_features detect() {
     f.max_vector_bits = 256;
     f.isa = "avx2";
   }
+  f.f16c = __builtin_cpu_supports("f16c") != 0;
   if (__builtin_cpu_supports("avx512f")) {
     f.avx512f = true;
     f.max_vector_bits = 512;

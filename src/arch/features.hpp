@@ -12,7 +12,12 @@
 ///    which decides which fixed-width kernel backend
 ///    (kernels/simd.hpp) is profitable to run for wall-clock numbers.
 ///
-/// This header answers the second question. Detection is done once
+/// This header answers the second question, twice: what the CPU
+/// advertises (`host_features`, detected at run time) and what this
+/// build was compiled to use without asking (`compiled_features`, from
+/// the compiler's predefined macros). The build only compiles an ISA
+/// the configuring host executes (src/CMakeLists.txt), so compiled is a
+/// subset of detected on that host. Detection is done once
 /// (first call), is thread-safe, and degrades gracefully: on an
 /// unrecognized architecture the answer is the portable 128-bit
 /// minimum, which every fixed-width backend can execute because the
@@ -28,6 +33,7 @@ namespace tfx::arch {
 struct cpu_features {
   bool sse2 = false;     ///< x86-64 baseline (always true there)
   bool avx2 = false;     ///< 256-bit integer+FP vectors
+  bool f16c = false;     ///< binary16 <-> binary32 vector conversions
   bool avx512f = false;  ///< 512-bit vectors
   bool neon = false;     ///< AArch64 baseline ASIMD
   bool sve = false;      ///< scalable vectors (the A64FX's ISA)
@@ -44,6 +50,29 @@ struct cpu_features {
 
 /// The host's features, detected once and cached (thread-safe).
 const cpu_features& host_features();
+
+/// The x86 vector extensions this build compiled in unconditionally
+/// (__AVX2__, __F16C__, __AVX512F__): the ISA the kernels actually
+/// run, as opposed to the widths the dispatcher labels.
+struct compiled_isa {
+  bool avx2 = false;
+  bool f16c = false;
+  bool avx512f = false;
+};
+
+inline constexpr compiled_isa compiled_features() {
+  compiled_isa c;
+#if defined(__AVX2__)
+  c.avx2 = true;
+#endif
+#if defined(__F16C__)
+  c.f16c = true;
+#endif
+#if defined(__AVX512F__)
+  c.avx512f = true;
+#endif
+  return c;
+}
 
 /// The widest fixed-width kernel backend worth selecting on this host:
 /// host_features().max_vector_bits clamped to the widths the simd layer

@@ -12,7 +12,17 @@
 ///
 /// The result of each operation passes through `canonicalize()`, which
 /// applies the thread's flush-to-zero mode and maintains the event
-/// counters used by the A64FX performance model (see fpenv.hpp).
+/// counters used by the A64FX performance model (see fpenv.hpp). Only
+/// subnormal, infinite and NaN results reach the thread-local state.
+///
+/// The widen and narrow are `f16_to_f32` / `f32_to_f16_bits` below:
+/// the F16C instructions (vcvtph2ps / vcvtps2ph, round to nearest even)
+/// when the build compiles F16C, the constexpr bit routines of
+/// rounding.hpp otherwise. The bit routines stay the oracle
+/// (tests/fp_lanes_test checks F16C against them over every input).
+/// These scalar operators are in turn the oracle for the vector form
+/// of the same definition, fp::lanes<float16> (lanes.hpp), which the
+/// SWM row kernels and sweeps run on an AVX2 + F16C build.
 
 #include <cmath>
 #include <cstdint>
@@ -23,7 +33,29 @@
 #include "fp/fpenv.hpp"
 #include "fp/rounding.hpp"
 
+#if defined(__F16C__)
+#include <immintrin.h>
+#endif
+
 namespace tfx::fp {
+
+/// binary32 -> binary16 bits, round to nearest even.
+inline std::uint16_t f32_to_f16_bits(float f) {
+#if defined(__F16C__)
+  return static_cast<std::uint16_t>(_cvtss_sh(f, _MM_FROUND_TO_NEAREST_INT));
+#else
+  return f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(f));
+#endif
+}
+
+/// binary16 bits -> binary32 (exact).
+inline float f16_to_f32(std::uint16_t h) {
+#if defined(__F16C__)
+  return _cvtsh_ss(h);
+#else
+  return std::bit_cast<float>(f16_bits_to_f32_bits(h));
+#endif
+}
 
 class float16 {
  public:
@@ -31,11 +63,13 @@ class float16 {
   constexpr float16() = default;
 
   /// Rounding conversions from the built-in floating types.
-  explicit float16(float f)
-      : bits_(f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(f))) {
+  explicit float16(float f) : bits_(f32_to_f16_bits(f)) { canonicalize(); }
+  /// binary64 -> binary32 with round-to-odd, then one binary16 round:
+  /// a single correct rounding (rounding.hpp, f64_to_f16_bits).
+  explicit float16(double d)
+      : bits_(f32_to_f16_bits(f64_to_f32_round_to_odd(d))) {
     canonicalize();
   }
-  explicit float16(double d) : bits_(f64_to_f16_bits(d)) { canonicalize(); }
 
   /// Conversion from integers (exact for |i| <= 2048, rounded above).
   template <typename Int, typename = std::enable_if_t<std::is_integral_v<Int>>>
@@ -52,9 +86,7 @@ class float16 {
   [[nodiscard]] constexpr std::uint16_t bits() const { return bits_; }
 
   /// Exact widening conversions.
-  explicit operator float() const {
-    return std::bit_cast<float>(f16_bits_to_f32_bits(bits_));
-  }
+  explicit operator float() const { return f16_to_f32(bits_); }
   explicit operator double() const { return static_cast<float>(*this); }
 
   // -- classification ------------------------------------------------

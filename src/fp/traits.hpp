@@ -65,8 +65,8 @@ struct precision_traits<bfloat16> {
 /// only `widened` on an x86 build host.
 enum class vectorizability {
   native,   ///< lanes of T itself (double, float)
-  widened,  ///< lanes of a wider type; every widen is exact and every
-            ///< narrowing re-round matches the type's scalar operator
+  widened,  ///< binary32 lanes (fp::lanes); every widen is exact and
+            ///< every narrowing round matches the type's scalar operator
             ///< semantics, so the widened path is bit-identical to the
             ///< scalar soft-float loop (float16, bfloat16)
   scalar,   ///< per-type fallback: side effects (sherlog's logging),
@@ -78,55 +78,34 @@ enum class vectorizability {
 template <typename T>
 struct vec_traits {
   static constexpr vectorizability kind = vectorizability::scalar;
-  /// The type the lanes hold when kind != scalar.
-  using lane_type = T;
 };
 
 template <>
 struct vec_traits<double> {
   static constexpr vectorizability kind = vectorizability::native;
-  using lane_type = double;
 };
 
 template <>
 struct vec_traits<float> {
   static constexpr vectorizability kind = vectorizability::native;
-  using lane_type = float;
 };
 
 /// float16 arithmetic is *defined* (float16.hpp) as exact widening to
 /// binary32, a binary32 op, and a rounding narrow with FTZ/counter
-/// canonicalization. The widened vector path performs exactly those
-/// steps - binary32 lanes for the op, per-lane re-round - so it is
-/// bit-identical to the scalar loop, subnormal counters included.
+/// canonicalization. The widened vector path (fp::lanes, lanes.hpp)
+/// performs exactly those steps - binary32 lanes for the op, an
+/// in-register round, the scalar canonicalization on exceptional
+/// lanes - so it is bit-identical to the scalar loop, subnormal
+/// counters included.
 template <>
 struct vec_traits<float16> {
   static constexpr vectorizability kind = vectorizability::widened;
-  using lane_type = float;
 };
 
 /// Same operational definition as float16 (bfloat16.hpp).
 template <>
 struct vec_traits<bfloat16> {
   static constexpr vectorizability kind = vectorizability::widened;
-  using lane_type = float;
 };
-
-/// Widest-compute helper: the type arithmetic actually runs in on the
-/// host for each storage format.
-template <typename T>
-struct compute_type {
-  using type = T;
-};
-template <>
-struct compute_type<float16> {
-  using type = float;
-};
-template <>
-struct compute_type<bfloat16> {
-  using type = float;
-};
-template <typename T>
-using compute_type_t = typename compute_type<T>::type;
 
 }  // namespace tfx::fp

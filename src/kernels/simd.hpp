@@ -28,9 +28,9 @@
 ///    different rounding order than the sequential scalar reduction —
 ///    the ULP policy in docs/KERNELS.md bounds the difference;
 ///  * soft-float lane types (float16, bfloat16) take the *widened* path
-///    (fp::vec_traits): exact widen to their binary32 compute type,
-///    vector arithmetic there, and a per-lane rounding narrow through
-///    the type's converting constructor — which is the scalar
+///    (fp::vec_traits): fp::lanes<T> blocks - exact widen to binary32,
+///    the vector op, an in-register round to T's grid per op, and T's
+///    own canonicalization for exceptional lanes - which is the scalar
 ///    operators' own definition, so FTZ flushing and the subnormal
 ///    counters behave identically to the scalar loop.
 
@@ -40,6 +40,7 @@
 #include <type_traits>
 
 #include "core/contracts.hpp"
+#include "fp/lanes.hpp"
 #include "fp/traits.hpp"
 #include "kernels/generic.hpp"
 
@@ -205,45 +206,28 @@ template <std::size_t Bits, typename T>
 
 // ---------------------------------------------------------------------------
 // Widened path: soft-float storage types whose arithmetic is *defined*
-// as compute-in-binary32 (fp::vec_traits<T>::kind == widened). The
-// widen is exact; the vector op runs on binary32 lanes; the narrowing
-// re-round goes through T's converting constructor, i.e. the exact
-// code path (rounding + FTZ canonicalization + event counters) the
-// scalar operators use. Bit-identical to the scalar loop by
-// construction.
+// as compute-in-binary32 (fp::vec_traits<T>::kind == widened). It runs
+// in fp::lanes<T> (fp/lanes.hpp): exact widen, the binary32 lane op,
+// and the in-register round to T's grid, with T's canonicalization
+// (FTZ + event counters) for exceptional lanes - the one narrowing
+// implementation the SWM kernels use too. Bit-identical to the scalar
+// loop by construction; without lanes it is the scalar loop.
 // ---------------------------------------------------------------------------
 
 /// y <- a*x + y for a widened type: per element, round(a*x) then
-/// round(prod + y), matching T's muladd (two narrowing rounds).
+/// round(prod + y), matching T's muladd (two narrowing rounds). The
+/// lane width is the compiled ISA's (fp::lane_width), whatever `Bits`
+/// the width policy dispatched.
 template <std::size_t Bits, typename T>
 void axpy_widened(T a, std::span<const T> x, std::span<T> y) {
   static_assert(fp::vec_traits<T>::kind == fp::vectorizability::widened);
+  static_assert(valid_width(Bits));
   TFX_EXPECTS(x.size() == y.size());
-  using W = typename fp::vec_traits<T>::lane_type;
-  using P = pack<W, Bits>;
-  constexpr std::size_t L = P::lanes;
-  const std::size_t n = x.size();
-  const P va = P::broadcast(static_cast<W>(a));
-  W wide[L];
-  std::size_t i = 0;
-  for (; i + L <= n; i += L) {
-    // widen x (exact), multiply in W lanes, narrow-round each product.
-    for (std::size_t l = 0; l < L; ++l) wide[l] = static_cast<W>(x[i + l]);
-    (va * P::load(wide)).store(wide);
-    // prod + y in W lanes (the scalar operator+ computes in W too),
-    // then the final narrowing round through T's constructor.
-    W acc[L];
-    for (std::size_t l = 0; l < L; ++l) {
-      acc[l] = static_cast<W>(T(wide[l]));  // round(a*x), canonicalized
-    }
-    for (std::size_t l = 0; l < L; ++l) wide[l] = static_cast<W>(y[i + l]);
-    (P::load(acc) + P::load(wide)).store(acc);
-    for (std::size_t l = 0; l < L; ++l) y[i + l] = T(acc[l]);
-  }
-  for (; i < n; ++i) {
-    using tfx::fp::muladd;
-    y[i] = muladd(a, x[i], y[i]);
-  }
+  const T* const xp = x.data();
+  T* const yp = y.data();
+  fp::for_each_element<fp::use_lanes<T>>(0, x.size(), [&](auto at) {
+    at.put(yp, a * at(xp) + at(yp));
+  });
 }
 
 }  // namespace tfx::kernels::simd

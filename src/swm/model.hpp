@@ -387,9 +387,12 @@ class model {
         kernels::sweeps::convert<T, Tprog>(d, s, lo, hi);
         return;
       }
-      for (std::size_t idx = lo; idx < hi; ++idx) {
-        d[idx] = T(static_cast<double>(s[idx]));
-      }
+      // Soft-float targets narrow in lane blocks (one binary16 or
+      // bfloat16 round per element, as the scalar cast).
+      fp::for_each_element<fp::use_lanes<T, Tprog>>(
+          lo, hi, [dp = d.data(), sp = s.data()](auto at) {
+            at.put(dp, fpcast<T>(at(sp)));
+          });
     };
     cast(dst.u.flat(), src.u.flat());
     cast(dst.v.flat(), src.v.flat());

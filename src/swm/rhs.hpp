@@ -33,10 +33,14 @@
 /// evaluator below its wrapped or wall-mirrored rows, the distributed
 /// model its halo rows - and the kernel peels the periodic wrap
 /// columns i = 0 and i = nx-1, so the interior loop indexes i-1/i+1
-/// with no branch and the compiler vectorizes it. Every per-element
-/// expression keeps its operand order, and the tree builds with
-/// -ffp-contract=off, so the vector lanes round exactly like the
-/// scalar code (tests/swm_golden_test pins the trajectories).
+/// with no branch and the compiler vectorizes it. Each per-element
+/// formula is written once against an element cursor (fp/lanes.hpp):
+/// native types get the scalar cursor, Float16/BFloat16 get lane
+/// blocks in the interior. Every per-element expression keeps its
+/// operand order, and the tree builds with -ffp-contract=off, so the
+/// vector lanes round exactly like the scalar code
+/// (tests/swm_golden_test pins the trajectories, tests/fp_lanes_test
+/// each kernel against its scalar-cursor instantiation).
 
 #include <algorithm>
 #include <cmath>
@@ -45,6 +49,7 @@
 #include "core/contracts.hpp"
 #include "core/threadpool.hpp"
 #include "fp/fpenv.hpp"
+#include "fp/lanes.hpp"
 #include "swm/field.hpp"
 #include "swm/params.hpp"
 #include "swm/sweep.hpp"
@@ -92,50 +97,55 @@ struct row_forcing {
 /// and the compiler keeps them in registers across the row.
 namespace rhs_row {
 
-/// Call cell(i, im, ip) for i = 0..nx-1 in order, with the periodic
-/// x-neighbours im/ip: the two wrap columns peeled, the interior with
-/// plain i-1/i+1 (branch-free, so it vectorizes once inlined).
-template <typename Cell>
+/// Call cell(at) for i = 0..nx-1, with `at` the element cursor
+/// (fp/lanes.hpp) at column i and its periodic x-neighbours: the two
+/// wrap columns peeled, the interior with plain i-1/i+1. For native T
+/// the interior is a branch-free scalar loop the compiler vectorizes;
+/// for a widened T with lanes (`Lanes`) it runs lane blocks
+/// (fp::for_each_element; a last partial block overlaps the one before
+/// it). Each cell is counted and written once.
+template <typename T, bool Lanes = fp::use_lanes<T>, typename Cell>
 inline void peeled(int nx, Cell&& cell) {
   if (nx == 1) {
-    cell(0, 0, 0);
+    cell(fp::at_scalar{0, 0, 0});
     return;
   }
-  cell(0, nx - 1, 1);
-  for (int i = 1; i < nx - 1; ++i) cell(i, i - 1, i + 1);
-  cell(nx - 1, nx - 2, 0);
+  cell(fp::at_scalar{0, nx - 1, 1});
+  fp::for_each_element<Lanes>(1, static_cast<std::size_t>(nx - 1), cell);
+  cell(fp::at_scalar{nx - 1, nx - 2, 0});
 }
 
 // Pass 1: relative vorticity (grid units, scale s) at corner points
 // and kinetic energy at centres. The KE is kept at scale s (not s^2):
 // one factor of each square is pre-multiplied by the exact inv_s so no
 // intermediate overflows Float16 at large s.
-template <typename T>
+template <typename T, bool Lanes = fp::use_lanes<T>>
 void vorticity_ke(T* __restrict zeta, T* __restrict ke,
                   const T* __restrict u, const T* __restrict u_below,
                   const T* __restrict v, const T* __restrict v_above,
                   int nx, const coefficients<T> c) {
-  peeled(nx, [&](int i, int im, int ip) {
-    zeta[i] = (v[i] - v[im]) - (u[i] - u_below[i]);
-    const T ubar = c.half * (u[i] + u[ip]);
-    const T vbar = c.half * (v[i] + v_above[i]);
-    ke[i] = c.half * (ubar * (c.inv_s * ubar) + vbar * (c.inv_s * vbar));
+  peeled<T, Lanes>(nx, [&](auto at) {
+    at.put(zeta, (at(v) - at.im(v)) - (at(u) - at(u_below)));
+    const auto ubar = c.half * (at(u) + at.ip(u));
+    const auto vbar = c.half * (at(v) + at(v_above));
+    at.put(ke, c.half * (ubar * (c.inv_s * ubar) + vbar * (c.inv_s * vbar)));
   });
 }
 
 // Pass 2: five-point Laplacian (grid units) of one velocity component.
-template <typename T>
+template <typename T, bool Lanes = fp::use_lanes<T>>
 void laplacian(T* __restrict lap, const T* __restrict f,
                const T* __restrict f_below, const T* __restrict f_above,
                int nx) {
   const T four = T(4);
-  peeled(nx, [&](int i, int im, int ip) {
-    lap[i] = f[ip] + f[im] + f_above[i] + f_below[i] - four * f[i];
+  peeled<T, Lanes>(nx, [&](auto at) {
+    at.put(lap, at.ip(f) + at.im(f) + at(f_above) + at(f_below) -
+                    four * at(f));
   });
 }
 
 // Pass 3: u-momentum increment.
-template <typename T>
+template <typename T, bool Lanes = fp::use_lanes<T>>
 void u_momentum(T* __restrict du, const T* __restrict u,
                 const T* __restrict v, const T* __restrict v_above,
                 const T* __restrict zeta, const T* __restrict zeta_above,
@@ -146,26 +156,27 @@ void u_momentum(T* __restrict du, const T* __restrict u,
   const T dtf = row.dt_cor_u;
   const T wind = row.wind_u;
   const T four = T(4);
-  peeled(nx, [&](int i, int im, int ip) {
+  peeled<T, Lanes>(nx, [&](auto at) {
     // v averaged to the u-point; vorticity averaged to the u-point.
-    const T vbar = c.quarter * (v[im] + v[i] + v_above[im] + v_above[i]);
+    const auto vbar =
+        c.quarter * (at.im(v) + at(v) + at.im(v_above) + at(v_above));
     // De-scale the vorticity factor (exact) before the product so
     // zbar*vbar carries scale s, not s^2.
-    const T zbar = c.inv_s * (c.half * (zeta[i] + zeta_above[i]));
-    const T biharm =
-        lap[ip] + lap[im] + lap_above[i] + lap_below[i] - four * lap[i];
-    du[i] = dtf * vbar                     // linear Coriolis
-            + c.dtdx * (zbar * vbar)       // vorticity advection
-            - c.g_dtdx * (h[i] - h[im])    // pressure gradient
-            - c.dtdx * (ke[i] - ke[im])    // KE gradient
-            + wind                         // wind stress
-            - c.dt_drag * u[i]             // bottom drag
-            - c.dt_visc * biharm;          // biharmonic
+    const auto zbar = c.inv_s * (c.half * (at(zeta) + at(zeta_above)));
+    const auto biharm = at.ip(lap) + at.im(lap) + at(lap_above) +
+                        at(lap_below) - four * at(lap);
+    at.put(du, dtf * vbar                         // linear Coriolis
+                   + c.dtdx * (zbar * vbar)       // vorticity advection
+                   - c.g_dtdx * (at(h) - at.im(h))   // pressure gradient
+                   - c.dtdx * (at(ke) - at.im(ke))   // KE gradient
+                   + wind                         // wind stress
+                   - c.dt_drag * at(u)            // bottom drag
+                   - c.dt_visc * biharm);         // biharmonic
   });
 }
 
 // Pass 4: v-momentum increment.
-template <typename T>
+template <typename T, bool Lanes = fp::use_lanes<T>>
 void v_momentum(T* __restrict dv, const T* __restrict v,
                 const T* __restrict u, const T* __restrict u_below,
                 const T* __restrict zeta, const T* __restrict lap,
@@ -175,38 +186,40 @@ void v_momentum(T* __restrict dv, const T* __restrict v,
                 const coefficients<T> c, const row_forcing<T>& row) {
   const T dtf = row.dt_cor_v;
   const T four = T(4);
-  peeled(nx, [&](int i, int im, int ip) {
-    const T ubar = c.quarter * (u_below[i] + u[i] + u_below[ip] + u[ip]);
-    const T zbar = c.inv_s * (c.half * (zeta[i] + zeta[ip]));
-    const T biharm =
-        lap[ip] + lap[im] + lap_above[i] + lap_below[i] - four * lap[i];
-    dv[i] = -dtf * ubar
-            - c.dtdx * (zbar * ubar)
-            - c.g_dtdy * (h[i] - h_below[i])
-            - c.dtdy * (ke[i] - ke_below[i])
-            - c.dt_drag * v[i]
-            - c.dt_visc * biharm;
+  peeled<T, Lanes>(nx, [&](auto at) {
+    const auto ubar =
+        c.quarter * (at(u_below) + at(u) + at.ip(u_below) + at.ip(u));
+    const auto zbar = c.inv_s * (c.half * (at(zeta) + at.ip(zeta)));
+    const auto biharm = at.ip(lap) + at.im(lap) + at(lap_above) +
+                        at(lap_below) - four * at(lap);
+    at.put(dv, -dtf * ubar
+                   - c.dtdx * (zbar * ubar)
+                   - c.g_dtdy * (at(h) - at(h_below))
+                   - c.dtdy * (at(ke) - at(ke_below))
+                   - c.dt_drag * at(v)
+                   - c.dt_visc * biharm);
   });
 }
 
 // Pass 5: continuity. Linear part with h0, nonlinear flux with the
 // scaled surface displacement (one exact /s via the coefficient).
-template <typename T>
+template <typename T, bool Lanes = fp::use_lanes<T>>
 void continuity(T* __restrict deta, const T* __restrict u,
                 const T* __restrict v, const T* __restrict v_above,
                 const T* __restrict h, const T* __restrict h_below,
                 const T* __restrict h_above, int nx,
                 const coefficients<T> c) {
-  peeled(nx, [&](int i, int im, int ip) {
-    const T div =
-        c.h0_dtdx * (u[ip] - u[i]) + c.h0_dtdy * (v_above[i] - v[i]);
+  peeled<T, Lanes>(nx, [&](auto at) {
+    const auto div = c.h0_dtdx * (at.ip(u) - at(u)) +
+                     c.h0_dtdy * (at(v_above) - at(v));
     // Fluxes u*eta at faces: de-scale the interpolated eta (exact) so
     // U * etabar carries scale s, not s^2.
-    const T fx_e = u[ip] * (c.inv_s * (c.half * (h[i] + h[ip])));
-    const T fx_w = u[i] * (c.inv_s * (c.half * (h[im] + h[i])));
-    const T fy_n = v_above[i] * (c.inv_s * (c.half * (h[i] + h_above[i])));
-    const T fy_s = v[i] * (c.inv_s * (c.half * (h_below[i] + h[i])));
-    deta[i] = -div - c.dtdx * (fx_e - fx_w) - c.dtdy * (fy_n - fy_s);
+    const auto fx_e = at.ip(u) * (c.inv_s * (c.half * (at(h) + at.ip(h))));
+    const auto fx_w = at(u) * (c.inv_s * (c.half * (at.im(h) + at(h))));
+    const auto fy_n =
+        at(v_above) * (c.inv_s * (c.half * (at(h) + at(h_above))));
+    const auto fy_s = at(v) * (c.inv_s * (c.half * (at(h_below) + at(h))));
+    at.put(deta, -div - c.dtdx * (fx_e - fx_w) - c.dtdy * (fy_n - fy_s));
   });
 }
 

@@ -17,6 +17,7 @@
 #include <type_traits>
 
 #include "core/contracts.hpp"
+#include "fp/lanes.hpp"
 #include "fp/traits.hpp"
 #include "kernels/sweeps.hpp"
 #include "swm/field.hpp"
@@ -39,8 +40,10 @@ enum class integration_scheme {
 /// T == Tprog, per fp::vec_traits) through the dispatched vector
 /// kernels in kernels/sweeps.hpp — explicitly vectorized at the runtime
 /// width policy, bit-identical to the scalar loops at every width
-/// (docs/KERNELS.md). Soft-float and analysis types keep the scalar
-/// loops below.
+/// (docs/KERNELS.md). Float16/BFloat16 (and the mixed Float16/32 pair)
+/// run the same per-element text in fp::lanes blocks (fp/lanes.hpp);
+/// analysis types keep the scalar loops. The unfused sweeps stay
+/// scalar: they are the oracle.
 enum class update_pipeline {
   fused,    ///< combine/down-cast/RHS as one region per stage; one
             ///< increment+apply sweep per field, no increment arrays
@@ -57,6 +60,12 @@ constexpr To fpcast(const From& v) {
   } else {
     return To(static_cast<double>(v));
   }
+}
+
+/// The same cast on a lane block (fp/lanes.hpp), lane by lane.
+template <typename To, typename From>
+fp::lanes<To> fpcast(const fp::lanes<From>& v) {
+  return fp::lanes<To>::from(v);
 }
 
 /// out = y + a * k, element-wise, computed in Tprog (k cast up/down as
@@ -145,11 +154,16 @@ void fused_rk4_update_range(std::span<Tprog> y, std::span<const T> k1,
   }
   const Tprog two{2};
   const Tprog sixth = Tprog(1.0 / 6.0);
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const Tprog sum = fpcast<Tprog>(k1[idx]) + two * fpcast<Tprog>(k2[idx]) +
-                      two * fpcast<Tprog>(k3[idx]) + fpcast<Tprog>(k4[idx]);
-    y[idx] += sixth * sum;
-  }
+  Tprog* const yp = y.data();
+  const T* const a = k1.data();
+  const T* const b = k2.data();
+  const T* const c = k3.data();
+  const T* const d = k4.data();
+  fp::for_each_element<fp::use_lanes<Tprog, T>>(lo, hi, [&](auto at) {
+    const auto sum = fpcast<Tprog>(at(a)) + two * fpcast<Tprog>(at(b)) +
+                     two * fpcast<Tprog>(at(c)) + fpcast<Tprog>(at(d));
+    at.put(yp, at(yp) + sixth * sum);
+  });
 }
 
 /// One element range of the fused compensated update: the Kahan
@@ -170,15 +184,22 @@ void fused_rk4_update_compensated_range(std::span<Tprog> y,
   }
   const Tprog two{2};
   const Tprog sixth = Tprog(1.0 / 6.0);
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const Tprog sum = fpcast<Tprog>(k1[idx]) + two * fpcast<Tprog>(k2[idx]) +
-                      two * fpcast<Tprog>(k3[idx]) + fpcast<Tprog>(k4[idx]);
-    const Tprog inc = sixth * sum;
-    const Tprog adjusted = inc - comp[idx];
-    const Tprog t = y[idx] + adjusted;
-    comp[idx] = (t - y[idx]) - adjusted;
-    y[idx] = t;
-  }
+  Tprog* const yp = y.data();
+  Tprog* const cp = comp.data();
+  const T* const a = k1.data();
+  const T* const b = k2.data();
+  const T* const c = k3.data();
+  const T* const d = k4.data();
+  fp::for_each_element<fp::use_lanes<Tprog, T>>(lo, hi, [&](auto at) {
+    const auto sum = fpcast<Tprog>(at(a)) + two * fpcast<Tprog>(at(b)) +
+                     two * fpcast<Tprog>(at(c)) + fpcast<Tprog>(at(d));
+    const auto inc = sixth * sum;
+    const auto y0 = at(yp);
+    const auto adjusted = inc - at(cp);
+    const auto t = y0 + adjusted;
+    at.put(cp, (t - y0) - adjusted);
+    at.put(yp, t);
+  });
 }
 
 /// Whole-field fused update, standard accumulation.
@@ -219,21 +240,24 @@ void fused_stage_combine_range(state<Tprog>& out, const state<Tprog>& y,
   auto ku = k.du.flat();
   auto kv = k.dv.flat();
   auto ke = k.deta.flat();
+  // Elements are independent, so the interleaved three-field loop and
+  // three per-field sweeps compute identical values; the per-field form
+  // is what the vector kernels and the lane blocks want.
   if constexpr (std::is_same_v<T, Tprog> &&
                 fp::vec_traits<Tprog>::kind == fp::vectorizability::native) {
-    // Elements are independent, so the interleaved three-field loop and
-    // three per-field sweeps compute identical values; the per-field
-    // form is what the vector kernel wants.
     kernels::sweeps::combine<Tprog>(ou, yu, ku, a, lo, hi);
     kernels::sweeps::combine<Tprog>(ov, yv, kv, a, lo, hi);
     kernels::sweeps::combine<Tprog>(oe, ye, ke, a, lo, hi);
     return;
   }
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    ou[idx] = yu[idx] + a * fpcast<Tprog>(ku[idx]);
-    ov[idx] = yv[idx] + a * fpcast<Tprog>(kv[idx]);
-    oe[idx] = ye[idx] + a * fpcast<Tprog>(ke[idx]);
-  }
+  const auto combine = [&](Tprog* o, const Tprog* yy, const T* kk) {
+    fp::for_each_element<fp::use_lanes<Tprog, T>>(lo, hi, [&](auto at) {
+      at.put(o, at(yy) + a * fpcast<Tprog>(at(kk)));
+    });
+  };
+  combine(ou.data(), yu.data(), ku.data());
+  combine(ov.data(), yv.data(), kv.data());
+  combine(oe.data(), ye.data(), ke.data());
 }
 
 }  // namespace tfx::swm

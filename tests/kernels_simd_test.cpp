@@ -16,6 +16,7 @@
 #include "core/rng.hpp"
 #include "fp/bfloat16.hpp"
 #include "fp/float16.hpp"
+#include "fp/lanes.hpp"
 #include "fp/traits.hpp"
 #include "kernels/backend.hpp"
 #include "kernels/batched.hpp"
@@ -462,6 +463,18 @@ TEST(WidthPolicy, HostFeatureDetectionIsConsistent) {
   const std::size_t pref = arch::preferred_vector_bits();
   EXPECT_LE(pref, f.max_vector_bits);
   EXPECT_TRUE(kernels::simd::valid_width(pref));
+}
+
+// The ISA compiled into the build is one the host executes: the build
+// only adds an extension the configuring host ran (src/CMakeLists.txt).
+TEST(WidthPolicy, CompiledIsaIsSubsetOfDetected) {
+  const auto& f = arch::host_features();
+  constexpr arch::compiled_isa c = arch::compiled_features();
+  EXPECT_TRUE(!c.avx2 || f.avx2);
+  EXPECT_TRUE(!c.f16c || f.f16c);
+  EXPECT_TRUE(!c.avx512f || f.avx512f);
+  // The soft-float lanes exist exactly when AVX2 and F16C are compiled.
+  EXPECT_EQ(fp::lanes_compiled, c.avx2 && c.f16c);
 }
 
 TEST(VecBackends, RegisteredAndSelectable) {

@@ -19,7 +19,7 @@
 /// the F16C instructions (vcvtph2ps / vcvtps2ph, round to nearest even)
 /// when the build compiles F16C, the constexpr bit routines of
 /// rounding.hpp otherwise. The bit routines stay the oracle
-/// (tests/fp_lanes_test checks F16C against them over every input).
+/// (tests/fp_f16c_test checks F16C against them over every input).
 /// These scalar operators are in turn the oracle for the vector form
 /// of the same definition, fp::lanes<float16> (lanes.hpp), which the
 /// SWM row kernels and sweeps run on an AVX2 + F16C build.

@@ -18,17 +18,17 @@
 ///  * `lanes<float>` does not round; it is the binary32 side of the
 ///    mixed Float16/32 member and of the casts between them.
 ///
-/// Exceptional results. After each binary16 round one compare finds
-/// the lanes that hold a binary16 subnormal, +-inf or NaN. Only when
-/// there is one does a cold, out-of-line path run the scalar
-/// canonicalization (float16's converting constructor: FTZ flush and
-/// fp::counters()) on exactly those lanes. The loop driver never pads a
-/// block; a final partial block is shifted back to overlap its
-/// predecessor, and its overlapped (`dead`) lanes are neither
-/// canonicalized nor stored. So each element-op reaches the counters
-/// once, exactly as in the scalar loop, and the hot path touches no
-/// thread_local. bfloat16 has no FTZ policy or counters, so its round
-/// has no cold path.
+/// Exceptional results. After each binary16 round three integer
+/// compares and one vptest find the lanes that hold a binary16
+/// subnormal, +-inf or NaN. Only when there is one does a cold,
+/// out-of-line path run the scalar canonicalization (float16's
+/// converting constructor: FTZ flush and fp::counters()) on exactly
+/// those lanes. The loop driver never pads a block; a final partial
+/// block is shifted back to overlap its predecessor, and its overlapped
+/// (`dead`) lanes are neither canonicalized nor stored. So each
+/// element-op reaches the counters once, exactly as in the scalar loop,
+/// and the hot path touches no thread_local. bfloat16 has no FTZ policy
+/// or counters, so its round has no cold path.
 ///
 /// Element cursors. A loop body written once as `body(at)` reads
 /// `at(p)` (element i of row p), `at.im(p)` / `at.ip(p)` (its i-1 and

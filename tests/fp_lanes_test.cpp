@@ -458,6 +458,11 @@ TEST(LaneSweeps, BFloat16MatchScalarOracle) {
   check_sweeps<bfloat16, bfloat16>(nullptr);
 }
 
+TEST(LaneSweeps, BFloat16MatchScalarOracleOnPool) {
+  thread_pool pool(4);
+  check_sweeps<bfloat16, bfloat16>(&pool);
+}
+
 TEST(LaneSweeps, MixedFloat16Float32MatchScalarOracle) {
   check_sweeps<float, float16>(nullptr);
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mpisim/collectives.hpp"
@@ -201,4 +203,98 @@ TEST(Des, ResultStatistics) {
   const auto res = simulate(make_barrier_program(2), net, place);
   EXPECT_LE(res.min_clock(), res.avg_clock());
   EXPECT_LE(res.avg_clock(), res.max_clock());
+}
+
+// ---------------------------------------------------------------------------
+// Program structure: FNV-1a over every rank's (kind, peer, bytes, bit
+// pattern of seconds), per generator family, over a grid of rank
+// counts, roots, counts, element sizes and algorithms. Clock hashes
+// alone can miss a reordered zero-cost op; these pins cannot.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct program_hash {
+  std::uint64_t h = 1469598103934665603ull;
+
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(const sim_program& prog) {
+    mix(static_cast<std::uint64_t>(prog.size()));
+    for (const auto& ops : prog.ranks) {
+      mix(ops.size());
+      for (const sim_op& op : ops) {
+        std::uint64_t seconds;
+        std::memcpy(&seconds, &op.seconds, 8);
+        mix(static_cast<std::uint64_t>(op.what));
+        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(op.peer)));
+        mix(op.bytes);
+        mix(seconds);
+      }
+    }
+  }
+};
+
+constexpr int golden_ranks[] = {1, 2, 3, 5, 6, 8, 13, 16};
+constexpr std::size_t golden_counts[] = {1, 7, 300, 65536};
+constexpr std::size_t golden_elem_bytes[] = {1, 4, 8};
+constexpr coll_algorithm golden_algos[] = {
+    coll_algorithm::recursive_doubling, coll_algorithm::ring,
+    coll_algorithm::rabenseifner, coll_algorithm::automatic};
+
+/// Call fn(p, root, count, elem_bytes) over the whole grid.
+template <typename Fn>
+void for_each_rooted(Fn&& fn) {
+  for (const int p : golden_ranks) {
+    for (const int root : {0, p - 1}) {
+      for (const std::size_t count : golden_counts) {
+        for (const std::size_t eb : golden_elem_bytes) fn(p, root, count, eb);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ProgramGolden, GeneratorsMatchPinnedStructure) {
+  const tofud_params net;
+  program_hash barrier_h, bcast_h, reduce_h, gatherv_h, allgather_h,
+      allreduce_h, hier_h;
+
+  for (const int p : golden_ranks) barrier_h.add(make_barrier_program(p));
+  for_each_rooted([&](int p, int root, std::size_t count, std::size_t eb) {
+    bcast_h.add(make_bcast_program(p, count, eb, root));
+    reduce_h.add(make_reduce_program(net, p, count, eb, root));
+    gatherv_h.add(make_gatherv_program(p, count, eb, root));
+    if (root == 0) {
+      allgather_h.add(make_allgather_program(p, count, eb));
+      for (const auto algo : golden_algos) {
+        allreduce_h.add(make_allreduce_program(net, p, count, eb, algo));
+      }
+    }
+  });
+  for (const auto& place :
+       {torus_placement({4, 6, 16}, 4), torus_placement::line(2, 4),
+        torus_placement::line(2, 3)}) {
+    for (const std::size_t count : golden_counts) {
+      for (const std::size_t eb : golden_elem_bytes) {
+        for (const auto algo : golden_algos) {
+          hier_h.add(
+              make_hierarchical_allreduce_program(net, place, count, eb, algo));
+        }
+      }
+    }
+  }
+
+  EXPECT_EQ(barrier_h.h, 0xcd205bdab2fe66deull) << "barrier";
+  EXPECT_EQ(bcast_h.h, 0x0677a9fb06f5ca6bull) << "bcast";
+  EXPECT_EQ(reduce_h.h, 0x14b2e22587c4ac13ull) << "reduce";
+  EXPECT_EQ(gatherv_h.h, 0x6a90355c0e3e5f93ull) << "gatherv";
+  EXPECT_EQ(allgather_h.h, 0x0c84aca1bf03d09bull) << "allgather";
+  EXPECT_EQ(allreduce_h.h, 0x8fd6c9670992be6full) << "allreduce";
+  EXPECT_EQ(hier_h.h, 0xe5d99fa879e3916full) << "hierarchical allreduce";
 }

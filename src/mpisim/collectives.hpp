@@ -15,13 +15,13 @@
 ///   * Allgather  - ring
 ///   * Alltoall   - rotation pairwise exchange
 ///
-/// Every implementation is a template over the element type and
-/// reduction functor, mirroring how MPI.jl exposes collectives over
-/// Julia types. Virtual time accrues through the same p2p rules as any
-/// user code, plus a modeled per-byte combine cost for reductions;
-/// patterns.hpp re-states the same algorithms as event schedules for
-/// the large-scale discrete-event runs, and the two are pinned against
-/// each other in tests/mpisim_des_test.
+/// Every implementation is a template over the element type, the
+/// reduction functor and the communicator, mirroring how MPI.jl exposes
+/// collectives over Julia types. Virtual time accrues through the same
+/// p2p rules as any user code, plus a modeled per-byte combine cost for
+/// reductions. The large-scale discrete-event runs (patterns.hpp) do
+/// not restate them: they record these same templates, run once per
+/// rank on a communicator that logs each send, recv and advance.
 
 #include <algorithm>
 #include <cstddef>
@@ -101,20 +101,25 @@ decltype(auto) with_comm_context(const char* coll, F&& body) {
   }
 }
 
+/// A Comm that moves no traffic opts out of trace spans with
+/// `static constexpr bool traced = false` (the DES program recorder,
+/// patterns.cpp).
+template <typename Comm>
+concept untraced_comm = requires { requires !Comm::traced; };
+
 /// Comm-aware variant: additionally wraps the body in a virtual-clock
 /// trace span on the rank's `net` track (closed during unwinding too,
 /// so B/E pairs stay balanced when a collective dies of comm_error).
 template <typename Comm, typename F>
 decltype(auto) with_comm_context(const char* coll, Comm& comm, F&& body) {
-  const tfx::obs::scoped_vspan span(
-      tfx::obs::domain::net, static_cast<std::uint16_t>(comm.rank()), coll,
-      [&comm] { return comm.now(); },
-      static_cast<std::uint64_t>(comm.size()));
-  try {
-    return std::forward<F>(body)();
-  } catch (const comm_error& e) {
-    throw comm_error(e.why(), e.peer(),
-                     std::string(coll) + ": " + e.what());
+  if constexpr (untraced_comm<Comm>) {
+    return with_comm_context(coll, std::forward<F>(body));
+  } else {
+    const tfx::obs::scoped_vspan span(
+        tfx::obs::domain::net, static_cast<std::uint16_t>(comm.rank()), coll,
+        [&comm] { return comm.now(); },
+        static_cast<std::uint64_t>(comm.size()));
+    return with_comm_context(coll, std::forward<F>(body));
   }
 }
 
@@ -131,6 +136,14 @@ void combine(std::span<T> into, std::span<const T> from, Op op) {
     into[i] = op(into[i], from[i]);
   }
 }
+
+/// The op a DES program recording runs with (patterns.cpp): payloads
+/// are never read, so nothing is combined; charge_combine still runs.
+struct no_combine {};
+
+template <typename T>
+void combine(std::span<T> /*into*/, std::span<const T> /*from*/,
+             no_combine) {}
 
 inline int largest_pow2_below(int p) {
   int v = 1;
@@ -240,9 +253,8 @@ void reduce(Comm& comm, std::span<const T> in, std::span<T> out,
 namespace detail {
 
 /// Recursive-doubling allreduce with the MPICH non-power-of-two
-/// fold-in/fold-out phases. `incoming` is caller-provided scratch of
-/// at least acc.size() elements (the allocating overload below keeps
-/// the historical signature).
+/// fold-in/fold-out phases. `scratch` is caller-provided, at least
+/// acc.size() elements.
 template <typename T, typename Op, typename Comm>
 void allreduce_rdoubling(Comm& comm, std::span<T> acc, Op op,
                          std::span<T> scratch) {
@@ -290,12 +302,6 @@ void allreduce_rdoubling(Comm& comm, std::span<T> acc, Op op,
       comm.recv(acc, r - 1, tag);
     }
   }
-}
-
-template <typename T, typename Op, typename Comm>
-void allreduce_rdoubling(Comm& comm, std::span<T> acc, Op op) {
-  std::vector<T> incoming(acc.size());
-  allreduce_rdoubling(comm, acc, op, std::span<T>(incoming));
 }
 
 /// Ring allreduce: reduce-scatter then allgather, P-1 rounds each,
@@ -348,12 +354,6 @@ void allreduce_ring(Comm& comm, std::span<T> acc, Op op,
               incoming.begin() + static_cast<std::ptrdiff_t>(in_seg.size()),
               in_seg.begin());
   }
-}
-
-template <typename T, typename Op, typename Comm>
-void allreduce_ring(Comm& comm, std::span<T> acc, Op op) {
-  std::vector<T> incoming(acc.size());
-  allreduce_ring(comm, acc, op, std::span<T>(incoming));
 }
 
 /// Rabenseifner's allreduce: recursive-halving reduce-scatter followed
@@ -456,15 +456,9 @@ void allreduce_rabenseifner(Comm& comm, std::span<T> acc, Op op,
   }
 }
 
-template <typename T, typename Op, typename Comm>
-void allreduce_rabenseifner(Comm& comm, std::span<T> acc, Op op) {
-  std::vector<T> incoming(acc.size());
-  allreduce_rabenseifner(comm, acc, op, std::span<T>(incoming));
-}
-
-/// In-place allreduce on `acc` with caller-provided scratch, resolving
-/// `automatic` with the same threshold as allreduce(). The engine of
-/// hierarchy::allreduce's leader phase.
+/// In-place allreduce on `acc` with caller-provided scratch of at least
+/// acc.size() elements, resolving `automatic` by message size. The
+/// engine of allreduce() and of hierarchy::allreduce's leader phase.
 template <typename T, typename Op, typename Comm>
 void allreduce_inplace(Comm& comm, std::span<T> acc, Op op,
                        coll_algorithm algo, std::span<T> scratch) {
@@ -501,29 +495,17 @@ void allreduce(Comm& comm, std::span<const T> in, std::span<T> out,
   std::copy(in.begin(), in.end(), out.begin());
   if (comm.size() == 1) return;
 
-  if (algo == coll_algorithm::automatic) {
-    algo = in.size() * sizeof(T) <= allreduce_ring_threshold
-               ? coll_algorithm::recursive_doubling
-               : coll_algorithm::rabenseifner;
+  if (algo == coll_algorithm::binomial_tree ||
+      algo == coll_algorithm::linear) {
+    // The tree/linear selectors fall back to reduce + bcast.
+    detail::with_comm_context("allreduce", comm, [&] {
+      reduce(comm, in, out, op, 0);
+      bcast(comm, out, 0);
+    });
+    return;
   }
-  detail::with_comm_context("allreduce", comm, [&] {
-    switch (algo) {
-      case coll_algorithm::recursive_doubling:
-        detail::allreduce_rdoubling(comm, out, op);
-        break;
-      case coll_algorithm::ring:
-        detail::allreduce_ring(comm, out, op);
-        break;
-      case coll_algorithm::rabenseifner:
-        detail::allreduce_rabenseifner(comm, out, op);
-        break;
-      default:
-        // Fall back to reduce + bcast for the tree/linear selectors.
-        reduce(comm, in, out, op, 0);
-        bcast(comm, out, 0);
-        break;
-    }
-  });
+  std::vector<T> incoming(in.size());
+  detail::allreduce_inplace(comm, out, op, algo, std::span<T>(incoming));
 }
 
 /// Crash-tolerant agreement primitive of rollback recovery
@@ -537,10 +519,12 @@ void allreduce(Comm& comm, std::span<const T> in, std::span<T> out,
 template <typename Comm>
 [[nodiscard]] std::uint64_t agree_max(Comm& comm, std::uint64_t value) {
   std::uint64_t acc = value;
+  std::uint64_t incoming = 0;
   if (comm.size() == 1) return acc;
   detail::with_comm_context("agree", comm, [&] {
     detail::allreduce_rdoubling(comm, std::span<std::uint64_t>(&acc, 1),
-                                ops::max{});
+                                ops::max{},
+                                std::span<std::uint64_t>(&incoming, 1));
   });
   return acc;
 }

@@ -7,7 +7,8 @@
 /// threaded runtime applies (runtime.hpp header comment), using
 /// per-(src,dst) FIFO message queues instead of real data. This is how
 /// the Fig. 3 benchmarks time collectives at 1536 ranks in
-/// milliseconds of host time.
+/// milliseconds of host time; the programs are recordings of the
+/// collective templates themselves (patterns.hpp).
 ///
 /// When a fault plane is supplied (faultplane.hpp), the engine applies
 /// the same deterministic per-message transmission schedules as the

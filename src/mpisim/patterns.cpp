@@ -1,384 +1,246 @@
 #include "mpisim/patterns.hpp"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <new>
+
 #include "core/contracts.hpp"
+#include "mpisim/hierarchical.hpp"
 
 namespace tfx::mpisim {
 
 namespace {
 
-int largest_pow2_below(int p) {
-  int v = 1;
-  while (v * 2 <= p) v *= 2;
-  return v;
+/// Stands for one payload element of N bytes, so spans of it have the
+/// byte sizes (and charge_combine the costs) of the real payload. A
+/// recording never reads or writes payloads: copying one is a no-op,
+/// which turns the templates' own copies (gatherv's root slot,
+/// allgather's own block, the ring's allgather phase) into nothing.
+template <std::size_t N>
+struct opaque_elem {
+  std::byte bytes[N];
+
+  opaque_elem() = default;
+  opaque_elem(const opaque_elem&) = default;
+  opaque_elem& operator=(const opaque_elem&) { return *this; }
+};
+
+/// Address space for the payloads of one program, shared by every
+/// rank's recording. Nothing touches it, so it is mapped inaccessible
+/// and uncommitted: a 1536-rank gatherv root's 6 MiB (or the 6 GiB of
+/// a 4 MiB Fig. 3 gatherv) costs no memory, and a stray payload access
+/// would fault instead of passing unnoticed.
+class payload_space {
+ public:
+  explicit payload_space(std::size_t bytes)
+      : bytes_(std::max<std::size_t>(bytes, 1)),
+        base_(::mmap(nullptr, bytes_, PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0)) {
+    if (base_ == MAP_FAILED) throw std::bad_alloc();
+  }
+  payload_space(const payload_space&) = delete;
+  payload_space& operator=(const payload_space&) = delete;
+  ~payload_space() { ::munmap(base_, bytes_); }
+
+  /// Elements [offset, offset + n) of the space viewed as T.
+  template <typename T>
+  std::span<T> elems(std::size_t offset, std::size_t n) const {
+    TFX_EXPECTS((offset + n) * sizeof(T) <= bytes_);
+    return {static_cast<T*>(base_) + offset, n};
+  }
+
+ private:
+  std::size_t bytes_;
+  void* base_;
+};
+
+/// A Comm that runs one rank of a collective template and appends each
+/// send, recv and advance to that rank's op list instead of moving
+/// data; no collective's control flow depends on payload values. Its
+/// rank map is affine (global = base + stride * local), which also
+/// gives the node and leader views of the hierarchical allreduce under
+/// the block placement.
+class program_recorder {
+ public:
+  static constexpr bool traced = false;  // no traffic, no obs spans
+
+  program_recorder(std::vector<sim_op>& ops, const tofud_params& net,
+                   int rank, int size, int base = 0, int stride = 1)
+      : ops_(&ops), net_(&net), rank_(rank), size_(size), base_(base),
+        stride_(stride) {}
+
+  /// The same recording seen through another affine rank map.
+  [[nodiscard]] program_recorder view(int rank, int size, int base,
+                                      int stride) const {
+    return {*ops_, *net_, rank, size, base, stride};
+  }
+
+  [[nodiscard]] int rank() const { return rank_; }
+  [[nodiscard]] int size() const { return size_; }
+  [[nodiscard]] double now() const { return 0.0; }
+  [[nodiscard]] const tofud_params& net() const { return *net_; }
+
+  void advance(double seconds) {
+    ops_->push_back(sim_op::compute_for(seconds));
+  }
+  void send_bytes(std::span<const std::byte> data, int dst, int /*tag*/) {
+    ops_->push_back(sim_op::send_to(global(dst), data.size()));
+  }
+  void recv_bytes(std::span<std::byte> out, int src, int /*tag*/) {
+    ops_->push_back(sim_op::recv_from(global(src), out.size()));
+  }
+  template <typename T>
+  void send(std::span<const T> data, int dst, int tag) {
+    send_bytes(std::as_bytes(data), dst, tag);
+  }
+  template <typename T>
+  void recv(std::span<T> out, int src, int tag) {
+    recv_bytes(std::as_writable_bytes(out), src, tag);
+  }
+
+ private:
+  [[nodiscard]] int global(int local) const { return base_ + stride_ * local; }
+
+  std::vector<sim_op>* ops_;
+  const tofud_params* net_;
+  int rank_, size_, base_, stride_;
+};
+
+/// Record all p ranks of a program; `body(recorder)` runs the template
+/// for the recorder's rank. Ops land in one reused scratch vector and
+/// are copied out at exact size: one allocation per rank, which at
+/// 1024+ ranks keeps growth copies out of DES host time
+/// (docs/TOPOLOGY.md).
+template <typename Body>
+sim_program record(const tofud_params& net, int p, Body&& body) {
+  sim_program prog(p);
+  std::vector<sim_op> scratch;
+  for (int r = 0; r < p; ++r) {
+    scratch.clear();
+    program_recorder rec(scratch, net, r, p);
+    body(rec);
+    prog.rank(r).assign(scratch.begin(), scratch.end());
+  }
+  return prog;
 }
 
-int log2_levels(int p) {  // number of k in {1,2,4,...} with k < p
-  int levels = 0;
-  for (int k = 1; k < p; k <<= 1) ++levels;
-  return levels;
-}
-
-// Reserve every rank's op vector at a closed-form upper bound so
-// building a program is one allocation per rank instead of a
-// reallocation cascade - at 1024+ ranks the ring builder's growth
-// copies used to dominate DES host time (docs/TOPOLOGY.md).
-void reserve_ranks(sim_program& prog, std::size_t ops_per_rank) {
-  for (auto& ops : prog.ranks) ops.reserve(ops_per_rank);
+/// fn(opaque_elem<elem_bytes>{}) for the element sizes in use.
+template <typename Fn>
+sim_program with_elem(std::size_t elem_bytes, Fn&& fn) {
+  switch (elem_bytes) {
+    case 1: return fn(opaque_elem<1>{});
+    case 2: return fn(opaque_elem<2>{});
+    case 4: return fn(opaque_elem<4>{});
+    case 8: return fn(opaque_elem<8>{});
+    default: break;
+  }
+  TFX_EXPECTS(false && "elem_bytes must be 1, 2, 4 or 8");
+  return sim_program(0);
 }
 
 }  // namespace
 
 sim_program make_barrier_program(int p) {
-  sim_program prog(p);
-  if (p == 1) return prog;
-  reserve_ranks(prog, 2 * static_cast<std::size_t>(log2_levels(p)));
-  for (int r = 0; r < p; ++r) {
-    for (int k = 1; k < p; k <<= 1) {
-      const int dst = (r + k) % p;
-      const int src = (r - k % p + p) % p;
-      prog.rank(r).push_back(sim_op::send_to(dst, 1));
-      prog.rank(r).push_back(sim_op::recv_from(src, 1));
-    }
-  }
-  return prog;
+  return record(tofud_params{}, p,
+                [](program_recorder& rec) { barrier(rec); });
 }
 
 sim_program make_bcast_program(int p, std::size_t count,
                                std::size_t elem_bytes, int root) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  if (p == 1) return prog;
-  reserve_ranks(prog, static_cast<std::size_t>(log2_levels(p)) + 1);
-  for (int r = 0; r < p; ++r) {
-    const int vrank = (r - root + p) % p;
-    int mask = 1;
-    while (mask < p) {
-      if (vrank & mask) {
-        const int src = ((vrank - mask) + root) % p;
-        prog.rank(r).push_back(sim_op::recv_from(src, bytes));
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vrank + mask < p) {
-        const int dst = ((vrank + mask) + root) % p;
-        prog.rank(r).push_back(sim_op::send_to(dst, bytes));
-      }
-      mask >>= 1;
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&](auto elem) {
+    using T = decltype(elem);
+    const payload_space space(count * sizeof(T));
+    const auto data = space.elems<T>(0, count);
+    return record(tofud_params{}, p,
+                  [&](program_recorder& rec) { bcast(rec, data, root); });
+  });
 }
 
 sim_program make_reduce_program(const tofud_params& net, int p,
                                 std::size_t count, std::size_t elem_bytes,
                                 int root) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  const double combine_s = reduce_compute_seconds(net, bytes);
-  reserve_ranks(prog, 2 * static_cast<std::size_t>(log2_levels(p)));
-  for (int r = 0; r < p; ++r) {
-    const int vrank = (r - root + p) % p;
-    int mask = 1;
-    while (mask < p) {
-      if (vrank & mask) {
-        const int dst = ((vrank - mask) + root) % p;
-        prog.rank(r).push_back(sim_op::send_to(dst, bytes));
-        break;
-      }
-      if (vrank + mask < p) {
-        const int src = ((vrank + mask) + root) % p;
-        prog.rank(r).push_back(sim_op::recv_from(src, bytes));
-        prog.rank(r).push_back(sim_op::compute_for(combine_s));
-      }
-      mask <<= 1;
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&](auto elem) {
+    using T = decltype(elem);
+    const payload_space space(2 * count * sizeof(T));
+    const auto acc = space.elems<T>(0, count);
+    const auto incoming = space.elems<T>(count, count);
+    return record(net, p, [&](program_recorder& rec) {
+      detail::reduce_inplace(rec, acc, detail::no_combine{}, root, incoming);
+    });
+  });
 }
 
 sim_program make_allreduce_program(const tofud_params& net, int p,
                                    std::size_t count, std::size_t elem_bytes,
                                    coll_algorithm algo) {
-  if (algo == coll_algorithm::automatic) {
-    algo = count * elem_bytes <= allreduce_ring_threshold
-               ? coll_algorithm::recursive_doubling
-               : coll_algorithm::rabenseifner;
-  }
-  TFX_EXPECTS(algo == coll_algorithm::recursive_doubling ||
+  TFX_EXPECTS(algo == coll_algorithm::automatic ||
+              algo == coll_algorithm::recursive_doubling ||
               algo == coll_algorithm::ring ||
               algo == coll_algorithm::rabenseifner);
-
-  sim_program prog(p);
-  if (p == 1) return prog;
-  const std::size_t bytes = count * elem_bytes;
-  const double combine_s = reduce_compute_seconds(net, bytes);
-
-  if (algo == coll_algorithm::recursive_doubling) {
-    const int pof2 = largest_pow2_below(p);
-    const int rem = p - pof2;
-    auto real_rank = [rem](int nr) { return nr < rem ? nr * 2 : nr + rem; };
-    reserve_ranks(prog, 3 * static_cast<std::size_t>(log2_levels(pof2)) + 3);
-    for (int r = 0; r < p; ++r) {
-      auto& ops = prog.rank(r);
-      int newrank;
-      if (r < 2 * rem) {
-        if (r % 2 != 0) {
-          ops.push_back(sim_op::send_to(r - 1, bytes));
-          newrank = -1;
-        } else {
-          ops.push_back(sim_op::recv_from(r + 1, bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-          newrank = r / 2;
-        }
-      } else {
-        newrank = r - rem;
-      }
-      if (newrank != -1) {
-        for (int mask = 1; mask < pof2; mask <<= 1) {
-          const int partner = real_rank(newrank ^ mask);
-          ops.push_back(sim_op::send_to(partner, bytes));
-          ops.push_back(sim_op::recv_from(partner, bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-        }
-      }
-      if (r < 2 * rem) {
-        if (r % 2 == 0) {
-          ops.push_back(sim_op::send_to(r + 1, bytes));
-        } else {
-          ops.push_back(sim_op::recv_from(r - 1, bytes));
-        }
-      }
-    }
-    return prog;
-  }
-
-  if (algo == coll_algorithm::rabenseifner) {
-    // Mirrors detail::allreduce_rabenseifner operation for operation.
-    const int pof2 = largest_pow2_below(p);
-    const int rem = p - pof2;
-    auto real_rank = [rem](int nr) { return nr < rem ? nr * 2 : nr + rem; };
-    auto bound = [count, pof2](int b) {
-      return count * static_cast<std::size_t>(b) /
-             static_cast<std::size_t>(pof2);
-    };
-    reserve_ranks(prog, 5 * static_cast<std::size_t>(log2_levels(pof2)) + 3);
-    for (int r = 0; r < p; ++r) {
-      auto& ops = prog.rank(r);
-      int newrank;
-      if (r < 2 * rem) {
-        if (r % 2 != 0) {
-          ops.push_back(sim_op::send_to(r - 1, bytes));
-          newrank = -1;
-        } else {
-          ops.push_back(sim_op::recv_from(r + 1, bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-          newrank = r / 2;
-        }
-      } else {
-        newrank = r - rem;
-      }
-      int lo = 0, hi = pof2;
-      if (newrank != -1) {
-        for (int mask = pof2 >> 1; mask > 0; mask >>= 1) {
-          const int partner = real_rank(newrank ^ mask);
-          const int mid = (lo + hi) / 2;
-          const std::size_t lo_b = bound(lo), mid_b = bound(mid),
-                            hi_b = bound(hi);
-          if (newrank < (newrank ^ mask)) {
-            ops.push_back(sim_op::send_to(partner,
-                                          (hi_b - mid_b) * elem_bytes));
-            ops.push_back(sim_op::recv_from(partner,
-                                            (mid_b - lo_b) * elem_bytes));
-            ops.push_back(sim_op::compute_for(reduce_compute_seconds(
-                net, (mid_b - lo_b) * elem_bytes)));
-            hi = mid;
-          } else {
-            ops.push_back(sim_op::send_to(partner,
-                                          (mid_b - lo_b) * elem_bytes));
-            ops.push_back(sim_op::recv_from(partner,
-                                            (hi_b - mid_b) * elem_bytes));
-            ops.push_back(sim_op::compute_for(reduce_compute_seconds(
-                net, (hi_b - mid_b) * elem_bytes)));
-            lo = mid;
-          }
-        }
-        for (int mask = 1; mask < pof2; mask <<= 1) {
-          const int partner = real_rank(newrank ^ mask);
-          const int span_blocks = hi - lo;
-          const std::size_t lo_b = bound(lo), hi_b = bound(hi);
-          ops.push_back(sim_op::send_to(partner, (hi_b - lo_b) * elem_bytes));
-          if (newrank < (newrank ^ mask)) {
-            const std::size_t sib_b = bound(hi + span_blocks);
-            ops.push_back(sim_op::recv_from(partner,
-                                            (sib_b - hi_b) * elem_bytes));
-            hi += span_blocks;
-          } else {
-            const std::size_t sib_b = bound(lo - span_blocks);
-            ops.push_back(sim_op::recv_from(partner,
-                                            (lo_b - sib_b) * elem_bytes));
-            lo -= span_blocks;
-          }
-        }
-      }
-      if (r < 2 * rem) {
-        if (r % 2 == 0) {
-          ops.push_back(sim_op::send_to(r + 1, bytes));
-        } else {
-          ops.push_back(sim_op::recv_from(r - 1, bytes));
-        }
-      }
-    }
-    return prog;
-  }
-
-  // Ring: reduce-scatter then allgather with the same segment sizes as
-  // the template (n*(k)/p boundaries over *elements*, then scaled).
-  auto seg_elems = [&](int s) {
-    const int seg = ((s % p) + p) % p;
-    const std::size_t b =
-        count * static_cast<std::size_t>(seg) / static_cast<std::size_t>(p);
-    const std::size_t e = count * (static_cast<std::size_t>(seg) + 1) /
-                          static_cast<std::size_t>(p);
-    return e - b;
-  };
-  reserve_ranks(prog, 5 * static_cast<std::size_t>(p - 1));
-  for (int r = 0; r < p; ++r) {
-    auto& ops = prog.rank(r);
-    const int right = (r + 1) % p;
-    const int left = (r - 1 + p) % p;
-    for (int step = 0; step < p - 1; ++step) {
-      const std::size_t out_b = seg_elems(r - step) * elem_bytes;
-      const std::size_t in_b = seg_elems(r - step - 1) * elem_bytes;
-      ops.push_back(sim_op::send_to(right, out_b));
-      ops.push_back(sim_op::recv_from(left, in_b));
-      ops.push_back(sim_op::compute_for(
-          reduce_compute_seconds(net, in_b)));
-    }
-    for (int step = 0; step < p - 1; ++step) {
-      const std::size_t out_b = seg_elems(r + 1 - step) * elem_bytes;
-      const std::size_t in_b = seg_elems(r - step) * elem_bytes;
-      ops.push_back(sim_op::send_to(right, out_b));
-      ops.push_back(sim_op::recv_from(left, in_b));
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&](auto elem) {
+    using T = decltype(elem);
+    const payload_space space(2 * count * sizeof(T));
+    const auto acc = space.elems<T>(0, count);
+    const auto scratch = space.elems<T>(count, count);
+    return record(net, p, [&](program_recorder& rec) {
+      detail::allreduce_inplace(rec, acc, detail::no_combine{}, algo,
+                                scratch);
+    });
+  });
 }
 
 sim_program make_hierarchical_allreduce_program(
     const tofud_params& net, const torus_placement& place,
     std::size_t count, std::size_t elem_bytes, coll_algorithm algo) {
-  const int p = place.rank_count();
   const int m = place.ranks_per_node();
   const int nodes = place.node_count();
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  const double combine_s = reduce_compute_seconds(net, bytes);
-
-  // The leaders' flat allreduce, built once over `nodes` virtual ranks
-  // and spliced into each leader's program with peers remapped to
-  // global ranks (leader of node k == global rank k*m under the block
-  // placement - the same ranks hierarchy{} elects).
-  sim_program leader_prog =
-      nodes > 1 ? make_allreduce_program(net, nodes, count, elem_bytes, algo)
-                : sim_program(1);
-
-  const auto levels = static_cast<std::size_t>(log2_levels(m));
-  for (int node = 0; node < nodes; ++node) {
-    const int leader = node * m;
-    auto& lops = prog.rank(leader);
-    lops.reserve(2 * levels +
-                 leader_prog.ranks[static_cast<std::size_t>(
-                     nodes > 1 ? node : 0)].size() +
-                 static_cast<std::size_t>(m > 1 ? 1 : 0));
-    for (int j = 1; j < m; ++j) {
-      prog.rank(leader + j).reserve(2 * levels + 2);
-    }
-
-    // Phase 1: intra-node binomial reduce to local rank 0
-    // (detail::reduce_inplace with root 0; vrank == local rank).
-    for (int j = 0; j < m; ++j) {
-      auto& ops = prog.rank(leader + j);
-      int mask = 1;
-      while (mask < m) {
-        if (j & mask) {
-          ops.push_back(sim_op::send_to(leader + (j - mask), bytes));
-          break;
-        }
-        if (j + mask < m) {
-          ops.push_back(sim_op::recv_from(leader + (j + mask), bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-        }
-        mask <<= 1;
-      }
-    }
-
-    // Phase 2: the leaders' flat allreduce, remapped to global ranks.
-    if (nodes > 1) {
-      for (const sim_op& op : leader_prog.ranks[static_cast<std::size_t>(node)]) {
-        sim_op mapped = op;
-        if (op.what != sim_op::kind::compute) mapped.peer = op.peer * m;
-        lops.push_back(mapped);
-      }
-    }
-
-    // Phase 3: intra-node binomial bcast from local rank 0.
-    for (int j = 0; j < m; ++j) {
-      auto& ops = prog.rank(leader + j);
-      int mask = 1;
-      while (mask < m) {
-        if (j & mask) {
-          ops.push_back(sim_op::recv_from(leader + (j - mask), bytes));
-          break;
-        }
-        mask <<= 1;
-      }
-      mask >>= 1;
-      while (mask > 0) {
-        if (j + mask < m) {
-          ops.push_back(sim_op::send_to(leader + (j + mask), bytes));
-        }
-        mask >>= 1;
-      }
-    }
-  }
-  return prog;
-}
-
-sim_program make_allgather_program(int p, std::size_t count,
-                                   std::size_t elem_bytes) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  if (p == 1) return prog;
-  reserve_ranks(prog, 2 * static_cast<std::size_t>(p - 1));
-  for (int r = 0; r < p; ++r) {
-    const int right = (r + 1) % p;
-    const int left = (r - 1 + p) % p;
-    for (int step = 0; step < p - 1; ++step) {
-      prog.rank(r).push_back(sim_op::send_to(right, bytes));
-      prog.rank(r).push_back(sim_op::recv_from(left, bytes));
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&](auto elem) {
+    using T = decltype(elem);
+    const payload_space space(2 * count * sizeof(T));
+    const auto acc = space.elems<T>(0, count);
+    const auto scratch = space.elems<T>(count, count);
+    return record(net, place.rank_count(), [&](program_recorder& rec) {
+      // Block placement: node k holds global ranks k*m .. k*m + m-1
+      // and its leader is k*m - the ranks hierarchy{} elects.
+      const int node = rec.rank() / m;
+      program_recorder node_comm = rec.view(rec.rank() % m, m, node * m, 1);
+      program_recorder leader_comm = rec.view(node, nodes, 0, m);
+      detail::hierarchical_allreduce_inplace(node_comm, leader_comm, acc,
+                                             detail::no_combine{}, algo,
+                                             scratch);
+    });
+  });
 }
 
 sim_program make_gatherv_program(int p, std::size_t count,
                                  std::size_t elem_bytes, int root) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  prog.rank(root).reserve(static_cast<std::size_t>(p - 1));
-  for (int r = 0; r < p; ++r) {
-    if (r != root) {
-      prog.rank(r).push_back(sim_op::send_to(root, bytes));
-    }
-  }
-  for (int src = 0; src < p; ++src) {
-    if (src == root) continue;
-    prog.rank(root).push_back(sim_op::recv_from(src, bytes));
-  }
-  return prog;
+  return with_elem(elem_bytes, [&](auto elem) {
+    using T = decltype(elem);
+    const auto n = static_cast<std::size_t>(p);
+    const payload_space space((n + 1) * count * sizeof(T));
+    const auto in = space.elems<T>(0, count);
+    const auto out = space.elems<T>(count, n * count);
+    const std::vector<std::size_t> counts(n, count);
+    return record(tofud_params{}, p, [&](program_recorder& rec) {
+      gatherv(rec, std::span<const T>(in), std::span<const std::size_t>(counts),
+              out, root);
+    });
+  });
+}
+
+sim_program make_allgather_program(int p, std::size_t count,
+                                   std::size_t elem_bytes) {
+  return with_elem(elem_bytes, [&](auto elem) {
+    using T = decltype(elem);
+    const auto n = static_cast<std::size_t>(p);
+    const payload_space space((n + 1) * count * sizeof(T));
+    const auto in = space.elems<T>(0, count);
+    const auto out = space.elems<T>(count, n * count);
+    return record(tofud_params{}, p, [&](program_recorder& rec) {
+      allgather(rec, std::span<const T>(in), out);
+    });
+  });
 }
 
 }  // namespace tfx::mpisim

@@ -1,16 +1,18 @@
 #pragma once
 
 /// \file patterns.hpp
-/// Collective algorithms restated as per-rank event programs.
+/// Collectives as per-rank event programs for the discrete-event engine.
 ///
 /// Running 1536 real threads (the paper's Fig. 3 configuration) is not
 /// feasible, so the large-scale benchmarks time the collectives with a
-/// discrete-event walk (des.hpp) over these programs. Each generator
-/// mirrors, operation for operation, the corresponding template in
-/// collectives.hpp; tests/mpisim_des_test pins the two against each
-/// other by comparing virtual completion times at thread-runnable rank
-/// counts. If you change an algorithm, change it in both places or the
-/// test will fail.
+/// discrete-event walk (des.hpp) over these programs. No algorithm is
+/// restated here: each generator runs the template from collectives.hpp
+/// (or hierarchical.hpp) once per rank on a recording communicator that
+/// appends every send, recv and modeled combine charge to the rank's op
+/// list. Payloads are opaque elements of `elem_bytes` bytes (1, 2, 4 or
+/// 8) that are never read, combined or copied. tests/mpisim_des_test
+/// pins the programs' structure and their clocks against the threaded
+/// runtime.
 
 #include <cstddef>
 #include <vector>
@@ -50,40 +52,40 @@ struct sim_program {
   }
 };
 
-/// Dissemination barrier (mirrors mpisim::barrier; 1-byte tokens).
+/// Dissemination barrier (mpisim::barrier; 1-byte tokens).
 sim_program make_barrier_program(int p);
 
-/// Binomial bcast of count*elem_bytes from root (mirrors mpisim::bcast).
+/// Binomial bcast of count*elem_bytes from root (mpisim::bcast).
 sim_program make_bcast_program(int p, std::size_t count,
                                std::size_t elem_bytes, int root);
 
-/// Binomial reduce to root (mirrors mpisim::reduce).
+/// Binomial reduce to root (detail::reduce_inplace, as mpisim::reduce).
 sim_program make_reduce_program(const tofud_params& net, int p,
                                 std::size_t count, std::size_t elem_bytes,
                                 int root);
 
-/// Allreduce; algo must be recursive_doubling or ring (automatic is
-/// resolved with the same threshold as the template).
+/// Allreduce (detail::allreduce_inplace); algo is automatic,
+/// recursive_doubling, ring or rabenseifner.
 sim_program make_allreduce_program(const tofud_params& net, int p,
                                    std::size_t count, std::size_t elem_bytes,
                                    coll_algorithm algo);
 
 /// Hierarchical (node-leader) allreduce: binomial reduce to each
 /// node's local rank 0, flat allreduce among the leaders, binomial
-/// bcast back - mirrors hierarchy::allreduce (hierarchical.hpp)
-/// op-for-op under the block rank placement. `algo` selects the
-/// leader-phase algorithm; automatic resolves with the flat threshold.
+/// bcast back - detail::hierarchical_allreduce_inplace, the body of
+/// hierarchy::allreduce, under the block rank placement. `algo`
+/// selects the leader-phase algorithm; automatic resolves with the
+/// flat threshold.
 sim_program make_hierarchical_allreduce_program(
     const tofud_params& net, const torus_placement& place,
     std::size_t count, std::size_t elem_bytes,
     coll_algorithm algo = coll_algorithm::automatic);
 
-/// Linear gatherv with uniform counts (mirrors mpisim::gatherv).
+/// Linear gatherv with uniform counts (mpisim::gatherv).
 sim_program make_gatherv_program(int p, std::size_t count,
                                  std::size_t elem_bytes, int root);
 
-/// Ring allgather of count*elem_bytes per rank (mirrors
-/// mpisim::allgather).
+/// Ring allgather of count*elem_bytes per rank (mpisim::allgather).
 sim_program make_allgather_program(int p, std::size_t count,
                                    std::size_t elem_bytes);
 

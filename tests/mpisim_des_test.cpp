@@ -298,3 +298,13 @@ TEST(ProgramGolden, GeneratorsMatchPinnedStructure) {
   EXPECT_EQ(allreduce_h.h, 0x8fd6c9670992be6full) << "allreduce";
   EXPECT_EQ(hier_h.h, 0xe5d99fa879e3916full) << "hierarchical allreduce";
 }
+
+TEST(ProgramGolden, UnsupportedElementSizeIsAPreconditionError) {
+  // Programs run the templates on opaque elements of exactly
+  // elem_bytes bytes; only the sizes in use (1, 2, 4, 8) exist.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(make_bcast_program(4, 8, 3, 0), "precondition");
+  EXPECT_DEATH(make_allreduce_program(tofud_params{}, 4, 8, 16,
+                                      coll_algorithm::automatic),
+               "precondition");
+}

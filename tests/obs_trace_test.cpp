@@ -25,6 +25,7 @@
 #include "mpisim/collectives.hpp"
 #include "mpisim/des.hpp"
 #include "mpisim/faultplane.hpp"
+#include "mpisim/patterns.hpp"
 #include "mpisim/runtime.hpp"
 #include "obs/chrome.hpp"
 #include "obs/metrics.hpp"
@@ -373,6 +374,40 @@ TEST(Toggle, GatesRecording) {
   obs::metrics_registry::instance().clear();
   obs::metric_add("gated");
   EXPECT_EQ(counter_value("gated"), 0u);
+}
+
+// Building a DES program records the collective templates on a
+// communicator that moves no traffic: it must leave no trace, or every
+// Fig. 3 run would fill the rings with spans of collectives that never
+// ran.
+TEST(Toggle, ProgramRecordingEmitsNothing) {
+  REQUIRE_OBS_COMPILED();
+  const tofud_params net;
+  const int p = 16;
+  std::vector<obs::event> events;
+  {
+    const obs_session session;
+    ASSERT_TRUE(obs::active());
+    make_barrier_program(p);
+    make_bcast_program(p, 300, 8, 3);
+    make_reduce_program(net, p, 300, 8, 3);
+    for (const auto algo :
+         {coll_algorithm::automatic, coll_algorithm::recursive_doubling,
+          coll_algorithm::ring, coll_algorithm::rabenseifner}) {
+      make_allreduce_program(net, p, 300, 8, algo);
+      make_hierarchical_allreduce_program(net, torus_placement::line(4, 4),
+                                          300, 8, algo);
+    }
+    make_gatherv_program(p, 300, 8, 3);
+    make_allgather_program(p, 300, 8);
+    swm::make_checkpoint_program(net, p, 4096);
+    events = obs::collect();
+    // The session was recording all along.
+    obs::instant(obs::domain::pool, 0, "after");
+    EXPECT_EQ(obs::collect().size(), events.size() + 1);
+  }
+  EXPECT_TRUE(events.empty()) << events.size() << " events, first "
+                              << (events.empty() ? "" : events[0].name);
 }
 
 // The ring drops the newest events on overflow and counts the loss -

@@ -1,12 +1,12 @@
 // Ablation: what halo aggregation and compute overlap buy.
 //
 // The distributed shallow-water model runs the same physics under its
-// three halo engines (swm/halo.hpp): the legacy per-field exchange (7
-// blocking exchanges per RHS evaluation), the aggregated engine (one
-// packed message per neighbour per phase - 56 sends per rank per step
-// become 16) and the aggregated engine with interior compute
-// overlapped under the exchange. Two quantities are priced per
-// configuration on the simulated TofuD fabric:
+// two halo engines (swm/halo.hpp): the legacy per-field exchange (7
+// blocking exchanges per RHS evaluation) and the aggregated engine
+// (one packed message per neighbour per phase - 56 sends per rank per
+// step become 16) with interior compute overlapped under the
+// exchange. Two quantities are priced per configuration on the
+// simulated TofuD fabric:
 //
 //   halo_s  - virtual halo time per step (no modeled compute: the step
 //             loop's clock is pure communication). The paper's § III-A
@@ -55,7 +55,6 @@ struct row {
 const char* mode_name(halo_mode m) {
   switch (m) {
     case halo_mode::per_field: return "per_field";
-    case halo_mode::aggregated: return "aggregated";
     case halo_mode::aggregated_overlap: return "agg+overlap";
   }
   return "?";
@@ -124,10 +123,10 @@ int main(int argc, char** argv) {
   const std::string json = args.get_string("json", "BENCH_halo.json");
 
   std::puts("Ablation: halo aggregation and compute/communication overlap.");
-  std::puts("Same physics, three halo engines; virtual time on the modeled");
+  std::puts("Same physics, two halo engines; virtual time on the modeled");
   std::puts("TofuD fabric (deterministic, bit-reproducible).\n");
 
-  constexpr halo_mode modes[] = {halo_mode::per_field, halo_mode::aggregated,
+  constexpr halo_mode modes[] = {halo_mode::per_field,
                                  halo_mode::aggregated_overlap};
 
   std::vector<row> rows;

@@ -20,7 +20,7 @@
 /// message per neighbour and computes the halo-independent interior
 /// rows while the payloads are in flight; halo_mode::per_field keeps
 /// the legacy one-message-per-row-per-field exchange as the
-/// bit-equality oracle. All modes produce bit-identical trajectories
+/// bit-equality oracle. Both modes produce bit-identical trajectories
 /// (tests/swm_halo_test pins this); they differ only in message count
 /// and virtual time. docs/COMM.md has the full story.
 ///
@@ -106,7 +106,7 @@ class distributed_model {
   [[nodiscard]] int global_j0() const { return j0_; }
   [[nodiscard]] const swm_params& params() const { return params_; }
 
-  /// Select the halo engine for subsequent steps (not mid-step). All
+  /// Select the halo engine for subsequent steps (not mid-step). Both
   /// modes are bit-identical in the produced trajectory; per_field is
   /// the legacy oracle, aggregated_overlap (the default) the fast one.
   void set_halo_mode(halo_mode mode) { mode_ = mode; }
@@ -325,7 +325,7 @@ class distributed_model {
     const bool overlap = mode_ == halo_mode::aggregated_overlap;
 
     // -- phase 1: prognostic halos, vorticity/KE and Laplacian passes.
-    if (mode_ == halo_mode::per_field) {
+    if (!overlap) {
       const obs::scoped_vspan halo_span(
           obs::domain::swm, static_cast<std::uint16_t>(comm_.rank()),
           "halo.prognostic", [this] { return comm_.now(); });
@@ -334,7 +334,6 @@ class distributed_model {
       detail::exchange_halo(comm_, H, tags::halo_eta);
     } else {
       halo_.start(engine_phase::prognostic, {&U, &V, &H});
-      if (!overlap) halo_.finish();
     }
     count_halo_traffic(3);
 
@@ -352,7 +351,7 @@ class distributed_model {
     }
 
     // -- phase 2: derived halos, tendency passes.
-    if (mode_ == halo_mode::per_field) {
+    if (!overlap) {
       const obs::scoped_vspan halo_span(
           obs::domain::swm, static_cast<std::uint16_t>(comm_.rank()),
           "halo.derived", [this] { return comm_.now(); });
@@ -362,7 +361,6 @@ class distributed_model {
       detail::exchange_halo(comm_, lap_v_, tags::halo_lap_v);
     } else {
       halo_.start(engine_phase::derived, {&zeta_, &ke_, &lap_u_, &lap_v_});
-      if (!overlap) halo_.finish();
     }
     count_halo_traffic(4);
 
@@ -473,7 +471,7 @@ class distributed_model {
   /// Accumulate one just-completed halo phase of `fields` slabs into
   /// this step's measured counters (tracing on only). Bytes are
   /// mode-independent; the message count is what aggregation changes:
-  /// 2 sends per field legacy, 2 packed sends per phase aggregated.
+  /// 2 sends per field per_field, 2 packed sends per phase otherwise.
   void count_halo_traffic(std::uint64_t fields) {
     if (!obs::active()) return;
     obs_halo_bytes_ += fields * bytes_per_exchange();

@@ -55,11 +55,6 @@ mpisim::sim_program make_halo_program(int p, int nx, std::size_t elem_bytes,
           charge(interior);
           charge(boundary);
           break;
-        case halo_mode::aggregated:
-          blocking_exchange(packed);
-          charge(interior);
-          charge(boundary);
-          break;
         case halo_mode::aggregated_overlap:
           // start(): sends post eagerly; the interior charge runs with
           // the payloads in flight; finish() waits down then up.

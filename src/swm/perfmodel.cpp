@@ -146,8 +146,7 @@ namespace {
 /// Per RK4 stage: a 3-field prognostic phase and a 4-field derived
 /// phase, each shipping one up and one down message per rank -
 /// packed under aggregation, per-field otherwise. Overlap changes
-/// *when* the time is paid, not how much traffic exists, so the
-/// aggregated modes share one prediction.
+/// *when* the time is paid, not how much traffic exists.
 template <typename Fn>
 void for_each_halo_message(int nx, std::size_t elem_bytes, halo_mode mode,
                            Fn&& message) {

@@ -71,8 +71,8 @@ double speedup_vs_float64(const arch::a64fx_params& machine, int nx, int ny,
 enum class halo_mode : std::uint8_t {
   per_field,           ///< 7 blocking per-field exchanges per RHS eval
                        ///< (the bit-equality oracle)
-  aggregated,          ///< one packed message per neighbour per phase
-  aggregated_overlap,  ///< packed + interior compute under the exchange
+  aggregated_overlap,  ///< one packed message per neighbour per phase,
+                       ///< interior compute under the exchange
 };
 
 /// Alpha-beta prediction of one rank's halo communication per RK4

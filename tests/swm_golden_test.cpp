@@ -316,12 +316,10 @@ INSTANTIATE_TEST_SUITE_P(
     RanksAndModes, SwmGoldenDistributed,
     ::testing::Combine(::testing::Values(2, 4),
                        ::testing::Values(halo_mode::per_field,
-                                         halo_mode::aggregated,
                                          halo_mode::aggregated_overlap)),
     [](const ::testing::TestParamInfo<std::tuple<int, halo_mode>>& param) {
       const halo_mode mode = std::get<1>(param.param);
       return std::to_string(std::get<0>(param.param)) + "ranks_" +
-             (mode == halo_mode::per_field    ? "per_field"
-              : mode == halo_mode::aggregated ? "aggregated"
-                                              : "aggregated_overlap");
+             (mode == halo_mode::per_field ? "per_field"
+                                           : "aggregated_overlap");
     });

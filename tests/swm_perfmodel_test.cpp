@@ -127,8 +127,8 @@ TEST(PerfModel, Fig4RuntimeRatioNearMeasured) {
 
 TEST(HaloTopology, PlacementOverloadKeepsTrafficExact) {
   const tfx::mpisim::tofud_params net;
-  for (const auto mode : {halo_mode::per_field, halo_mode::aggregated,
-                          halo_mode::aggregated_overlap}) {
+  for (const auto mode :
+       {halo_mode::per_field, halo_mode::aggregated_overlap}) {
     for (const auto& place :
          {tfx::mpisim::torus_placement::line(8),
           tfx::mpisim::torus_placement({2, 2, 2}, 4),
@@ -157,7 +157,7 @@ TEST(HaloTopology, BlockPlacedRingHaloIsCongestionFree) {
     const int ranks = place.rank_count();
     for (int r = 0; r < ranks; ++r) {
       const auto placed = predict_halo(net, place, r, 64, 8, ranks,
-                                       halo_mode::aggregated);
+                                       halo_mode::aggregated_overlap);
       EXPECT_LE(placed.max_link_flows, 1u) << "rank " << r;
       EXPECT_EQ(placed.link_wait_seconds, 0.0) << "rank " << r;
     }
@@ -171,9 +171,9 @@ TEST(HaloTopology, IntraNodeNeighboursAreCheaperThanTorusNeighbours) {
   const tfx::mpisim::tofud_params net;
   const tfx::mpisim::torus_placement place({4, 1, 1}, 4);
   const auto inner = predict_halo(net, place, 1, 96, 8, 16,
-                                  halo_mode::aggregated);
+                                  halo_mode::aggregated_overlap);
   const auto border = predict_halo(net, place, 3, 96, 8, 16,
-                                   halo_mode::aggregated);
+                                   halo_mode::aggregated_overlap);
   EXPECT_EQ(inner.messages, border.messages);
   EXPECT_EQ(inner.bytes, border.bytes);
   EXPECT_LT(inner.seconds, border.seconds);
@@ -181,7 +181,7 @@ TEST(HaloTopology, IntraNodeNeighboursAreCheaperThanTorusNeighbours) {
 
 TEST(HaloTopology, FlatOverloadReportsNoContentionByConstruction) {
   const tfx::mpisim::tofud_params net;
-  const auto flat = predict_halo(net, 128, 8, 16, halo_mode::aggregated);
+  const auto flat = predict_halo(net, 128, 8, 16, halo_mode::aggregated_overlap);
   EXPECT_EQ(flat.contended_seconds, flat.seconds);
   EXPECT_EQ(flat.link_wait_seconds, 0.0);
   EXPECT_EQ(flat.max_link_flows, 0u);
@@ -202,7 +202,7 @@ TEST(HaloTopology, ScatteredPlacementShowsTheContentionTerm) {
   for (int r = 0; r < place.rank_count(); ++r) {
     const auto placed = predict_halo(net, place, r, 96, 8,
                                      place.rank_count(),
-                                     halo_mode::aggregated);
+                                     halo_mode::aggregated_overlap);
     worst = std::max(worst, placed.max_link_flows);
     wait += placed.link_wait_seconds;
     EXPECT_GE(placed.contended_seconds, placed.seconds);

@@ -21,8 +21,6 @@ template <std::size_t N>
 struct opaque_elem {
   std::byte bytes[N];
 
-  opaque_elem() = default;
-  opaque_elem(const opaque_elem&) = default;
   opaque_elem& operator=(const opaque_elem&) { return *this; }
 };
 
@@ -78,7 +76,6 @@ class program_recorder {
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return size_; }
-  [[nodiscard]] double now() const { return 0.0; }
   [[nodiscard]] const tofud_params& net() const { return *net_; }
 
   void advance(double seconds) {
@@ -111,11 +108,15 @@ class program_recorder {
 /// for the recorder's rank. Ops land in one reused scratch vector and
 /// are copied out at exact size: one allocation per rank, which at
 /// 1024+ ranks keeps growth copies out of DES host time
-/// (docs/TOPOLOGY.md).
+/// (docs/TOPOLOGY.md). The scratch outlives the call: freed after every
+/// program, it made each 4096-rank Rabenseifner build fault its pages
+/// in again (about 1,400 minor faults) and take 1.6-2x the host time.
+/// Flattening inlines the templates into the loop.
 template <typename Body>
-sim_program record(const tofud_params& net, int p, Body&& body) {
+[[gnu::flatten]] sim_program record(const tofud_params& net, int p,
+                                    Body&& body) {
   sim_program prog(p);
-  std::vector<sim_op> scratch;
+  thread_local std::vector<sim_op> scratch;
   for (int r = 0; r < p; ++r) {
     scratch.clear();
     program_recorder rec(scratch, net, r, p);

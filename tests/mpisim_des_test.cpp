@@ -308,3 +308,89 @@ TEST(ProgramGolden, UnsupportedElementSizeIsAPreconditionError) {
                                       coll_algorithm::automatic),
                "precondition");
 }
+
+// ---------------------------------------------------------------------------
+// Channel table: a recv names a (peer, self) channel that the peer's
+// sends may never touch, one sender may fan out to every rank, and the
+// fault plane's cascade must still find a starved receiver.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t clock_hash(const std::vector<double>& clocks) {
+  program_hash h;
+  for (const double c : clocks) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &c, 8);
+    h.mix(bits);
+  }
+  return h.h;
+}
+
+}  // namespace
+
+TEST(DesChannels, RecvFromSilentPeerDeadlocks) {
+  // Rank 2 only ever sends to rank 1, so rank 0's recv from 2 can never
+  // be served: a malformed program aborts instead of spinning.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim_program prog(3);
+  prog.rank(0).push_back(sim_op::recv_from(2, 8));
+  prog.rank(1).push_back(sim_op::recv_from(2, 8));
+  prog.rank(2).push_back(sim_op::send_to(1, 8));
+  EXPECT_DEATH(simulate(prog, tofud_params{}, torus_placement::line(3)),
+               "deadlocked");
+}
+
+TEST(DesChannels, StarvedOnSilentCrashedPeerCascades) {
+  // Rank 1 crashes before its only send (to 2). Rank 2 waits on that
+  // send; rank 0 waits on a channel rank 1 never sends on at all. The
+  // cascade halts both, and rank 3, which talks only to rank 2, too.
+  const int p = 4;
+  sim_program prog(p);
+  prog.rank(0).push_back(sim_op::compute_for(1e-6));
+  prog.rank(0).push_back(sim_op::recv_from(1, 16));
+  prog.rank(1).push_back(sim_op::send_to(2, 16));
+  prog.rank(2).push_back(sim_op::recv_from(1, 16));
+  prog.rank(2).push_back(sim_op::send_to(3, 16));
+  prog.rank(3).push_back(sim_op::recv_from(2, 16));
+  const tofud_params net;
+  const torus_placement place = torus_placement::line(p);
+  fault_config cfg;
+  cfg.crashes.push_back({1, 0});
+  const fault_plane plane(cfg);
+
+  const auto des = simulate(prog, net, place, {}, &plane);
+  EXPECT_EQ(des.crashed, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(des.clocks[0], 1e-6);
+  EXPECT_EQ(des.stats.sends, 0u);
+}
+
+TEST(DesChannels, WideFanOutRowAt1536Ranks) {
+  // Rank 0 sends to every other rank (one row of 1535 channels) and
+  // collects the replies in reverse rank order; every other rank talks
+  // to rank 0 alone. Clock hashes recorded on the sorted-key table.
+  const tofud_params net;
+  const torus_placement place({4, 6, 16}, 4);
+  const int p = place.rank_count();
+  ASSERT_EQ(p, 1536);
+  sim_program prog(p);
+  for (int d = 1; d < p; ++d) {
+    const std::size_t bytes = 8 * (1 + static_cast<std::size_t>(d % 13));
+    prog.rank(0).push_back(sim_op::send_to(d, bytes));
+    prog.rank(d).push_back(sim_op::recv_from(0, bytes));
+    prog.rank(d).push_back(sim_op::compute_for(1e-7 * (d % 5)));
+    prog.rank(d).push_back(sim_op::send_to(0, 8));
+  }
+  for (int s = p - 1; s >= 1; --s) {
+    prog.rank(0).push_back(sim_op::recv_from(s, 8));
+  }
+
+  const auto flat = simulate(prog, net, place);
+  des_options opts;
+  opts.fabric = fabric_mode::contended;
+  const auto contended = simulate(prog, net, place, {}, nullptr, opts);
+  EXPECT_EQ(clock_hash(flat.clocks), 0x4e897d93d01c31f2ull) << "uncontended";
+  EXPECT_EQ(clock_hash(contended.clocks), 0x791f30a53a5657a3ull) << "contended";
+  EXPECT_EQ(contended.links.routed_messages, 2u * (p - 4));  // 3 on node 0
+  EXPECT_GE(contended.max_clock(), flat.max_clock());
+}

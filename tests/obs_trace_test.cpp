@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -345,6 +346,105 @@ TEST(DesTrace, BitReproducibleAcrossRuns) {
     EXPECT_EQ(first[i].dom, second[i].dom);
     EXPECT_EQ(first[i].track, second[i].track);
   }
+}
+
+namespace {
+
+/// Every net.tx_bytes.* row of the metrics registry as "name=value",
+/// sorted as strings.
+std::vector<std::string> tx_byte_rows() {
+  std::ostringstream csv;
+  obs::metrics_registry::instance().to_table().print_csv(csv);
+  std::vector<std::string> rows;
+  std::string line;
+  std::istringstream in(csv.str());
+  while (std::getline(in, line)) {
+    if (line.rfind("net.tx_bytes.", 0) != 0) continue;
+    const auto name_end = line.find(',');
+    rows.push_back(line.substr(0, name_end) + "=" +
+                   line.substr(line.rfind(',') + 1));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+}  // namespace
+
+TEST(DesTrace, TxBytesFlushCoversEveryChannel) {
+  // 16 ranks, 4 destinations each (64 channels), one channel per rank
+  // carrying two messages. The DES flushes one counter per channel
+  // that carried bytes; the threaded runtime fills the same names.
+  REQUIRE_OBS_COMPILED();
+  const int p = 16;
+  static constexpr int hops[] = {1, 3, 6, 10, 1};
+  const auto bytes = [](int src, int slot) {
+    return static_cast<std::size_t>(1 + 37 * src + 5 * hops[slot] +
+                                    100 * (slot / 4));
+  };
+  sim_program prog(p);
+  for (int s = 0; s < p; ++s) {
+    for (int k = 0; k < 5; ++k) {
+      prog.rank(s).push_back(sim_op::send_to((s + hops[k]) % p, bytes(s, k)));
+    }
+    for (int k = 0; k < 5; ++k) {
+      const int src = (s + p - hops[k]) % p;
+      prog.rank(s).push_back(sim_op::recv_from(src, bytes(src, k)));
+    }
+  }
+  const tofud_params net;
+  const torus_placement place = torus_placement::line(p);
+
+  std::vector<std::string> des_rows;
+  {
+    const obs_session session;
+    simulate(prog, net, place);
+    des_rows = tx_byte_rows();
+  }
+  std::vector<std::string> threaded_rows;
+  {
+    const obs_session session;
+    world w(place, net);
+    run_threaded_program(w, prog);
+    threaded_rows = tx_byte_rows();
+  }
+
+  // Listed in the DES flush order: (src, dst) lexicographic.
+  std::vector<std::string> want = {
+      "net.tx_bytes.0->1=112", "net.tx_bytes.0->3=16", "net.tx_bytes.0->6=31",
+      "net.tx_bytes.0->10=51", "net.tx_bytes.1->2=186",
+      "net.tx_bytes.1->4=53", "net.tx_bytes.1->7=68", "net.tx_bytes.1->11=88",
+      "net.tx_bytes.2->3=260", "net.tx_bytes.2->5=90",
+      "net.tx_bytes.2->8=105", "net.tx_bytes.2->12=125",
+      "net.tx_bytes.3->4=334", "net.tx_bytes.3->6=127",
+      "net.tx_bytes.3->9=142", "net.tx_bytes.3->13=162",
+      "net.tx_bytes.4->5=408", "net.tx_bytes.4->7=164",
+      "net.tx_bytes.4->10=179", "net.tx_bytes.4->14=199",
+      "net.tx_bytes.5->6=482", "net.tx_bytes.5->8=201",
+      "net.tx_bytes.5->11=216", "net.tx_bytes.5->15=236",
+      "net.tx_bytes.6->0=273", "net.tx_bytes.6->7=556",
+      "net.tx_bytes.6->9=238", "net.tx_bytes.6->12=253",
+      "net.tx_bytes.7->1=310", "net.tx_bytes.7->8=630",
+      "net.tx_bytes.7->10=275", "net.tx_bytes.7->13=290",
+      "net.tx_bytes.8->2=347", "net.tx_bytes.8->9=704",
+      "net.tx_bytes.8->11=312", "net.tx_bytes.8->14=327",
+      "net.tx_bytes.9->3=384", "net.tx_bytes.9->10=778",
+      "net.tx_bytes.9->12=349", "net.tx_bytes.9->15=364",
+      "net.tx_bytes.10->0=401", "net.tx_bytes.10->4=421",
+      "net.tx_bytes.10->11=852", "net.tx_bytes.10->13=386",
+      "net.tx_bytes.11->1=438", "net.tx_bytes.11->5=458",
+      "net.tx_bytes.11->12=926", "net.tx_bytes.11->14=423",
+      "net.tx_bytes.12->2=475", "net.tx_bytes.12->6=495",
+      "net.tx_bytes.12->13=1000", "net.tx_bytes.12->15=460",
+      "net.tx_bytes.13->0=497", "net.tx_bytes.13->3=512",
+      "net.tx_bytes.13->7=532", "net.tx_bytes.13->14=1074",
+      "net.tx_bytes.14->1=534", "net.tx_bytes.14->4=549",
+      "net.tx_bytes.14->8=569", "net.tx_bytes.14->15=1148",
+      "net.tx_bytes.15->0=1222", "net.tx_bytes.15->2=571",
+      "net.tx_bytes.15->5=586", "net.tx_bytes.15->9=606"
+  };
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(des_rows, want);
+  EXPECT_EQ(threaded_rows, want);
 }
 
 // ---------------------------------------------------------------------------

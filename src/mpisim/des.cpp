@@ -1,7 +1,6 @@
 #include "mpisim/des.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 
 #include "core/contracts.hpp"
@@ -71,90 +70,59 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   }
   if (faulty) result.deliveries.resize(static_cast<std::size_t>(p));
 
-  // ---- program pre-scan: build the flat channel table --------------
-  // Every (src,dst) pair referenced by a send OR a recv gets one dense
-  // channel index; per-op indices are resolved once here so the hot
-  // loop never hashes or searches. Scanning recvs too guarantees a
-  // receiver blocked on a crashed sender still finds its channel.
-  const auto up = static_cast<std::uint64_t>(p);
+  // ---- channel table: one CSR row per sender ----------------------
+  // Rank s owns channels [chan_off[s], chan_off[s+1]), one per distinct
+  // destination of its sends, sorted by destination. A send resolves in
+  // its own row and a recv from q in q's row; a row is a few cache
+  // lines, so per-op indices are resolved once here, in L1, and the
+  // hot loop never searches. A recv whose peer never sends to it gets
+  // channel nchan, which no send writes: it blocks for good, and the
+  // deadlock check or the fault plane's cascade ends it.
   std::vector<std::size_t> op_base(static_cast<std::size_t>(p) + 1, 0);
-  std::size_t total_ops = 0;
+  std::vector<std::size_t> chan_off(static_cast<std::size_t>(p) + 1, 0);
+  std::vector<int> chan_dst;
+  std::vector<int> dsts;  // one rank's send destinations, reused
   std::size_t total_sends = 0;
   for (int r = 0; r < p; ++r) {
-    op_base[static_cast<std::size_t>(r)] = total_ops;
-    total_ops += prog.ranks[static_cast<std::size_t>(r)].size();
-  }
-  op_base[static_cast<std::size_t>(p)] = total_ops;
-
-  std::vector<std::uint64_t> chan_keys;
-  for (int r = 0; r < p; ++r) {
-    const auto ur = static_cast<std::uint64_t>(r);
-    // Collective programs address the same few peers thousands of
-    // times (the ring talks to 2); a small recently-seen window drops
-    // the duplicates so the global sort below stays near-linear in the
-    // *channel* count, not the op count.
-    std::array<std::uint64_t, 8> recent;
-    recent.fill(~std::uint64_t{0});
-    std::size_t cursor = 0;
-    const auto note = [&](std::uint64_t key) {
-      for (const std::uint64_t seen : recent) {
-        if (seen == key) return;
-      }
-      recent[cursor] = key;
-      cursor = (cursor + 1) % recent.size();
-      chan_keys.push_back(key);
-    };
-    for (const sim_op& op : prog.ranks[static_cast<std::size_t>(r)]) {
-      if (op.what == sim_op::kind::send) {
-        note(ur * up + static_cast<std::uint64_t>(op.peer));
-        ++total_sends;
-      } else if (op.what == sim_op::kind::recv) {
-        note(static_cast<std::uint64_t>(op.peer) * up + ur);
-      }
+    const auto ur = static_cast<std::size_t>(r);
+    const auto& ops = prog.ranks[ur];
+    op_base[ur + 1] = op_base[ur] + ops.size();
+    dsts.clear();
+    for (const sim_op& op : ops) {
+      if (op.what == sim_op::kind::send) dsts.push_back(op.peer);
     }
+    total_sends += dsts.size();
+    std::sort(dsts.begin(), dsts.end());
+    chan_dst.insert(chan_dst.end(), dsts.begin(),
+                    std::unique(dsts.begin(), dsts.end()));
+    chan_off[ur + 1] = chan_dst.size();
   }
-  std::sort(chan_keys.begin(), chan_keys.end());
-  chan_keys.erase(std::unique(chan_keys.begin(), chan_keys.end()),
-                  chan_keys.end());
-  const auto chan_of = [&chan_keys](std::uint64_t key) {
-    const auto it =
-        std::lower_bound(chan_keys.begin(), chan_keys.end(), key);
-    return static_cast<std::int32_t>(it - chan_keys.begin());
+  const auto nchan = static_cast<std::int32_t>(chan_dst.size());
+  const auto chan_of = [&](int src, int dst) {
+    const auto us = static_cast<std::size_t>(src);
+    const int* row = chan_dst.data();
+    const int* last = row + chan_off[us + 1];
+    const int* it = std::lower_bound(row + chan_off[us], last, dst);
+    return it != last && *it == dst ? static_cast<std::int32_t>(it - row)
+                                    : nchan;
   };
 
   // Per-op channel index, flattened across ranks (compute ops keep -1).
-  // The same recently-seen trick caches resolved (key, index) pairs so
-  // the binary search runs per *distinct* peer, not per op.
-  std::vector<std::int32_t> op_chan(total_ops, -1);
+  std::vector<std::int32_t> op_chan(op_base[static_cast<std::size_t>(p)], -1);
   for (int r = 0; r < p; ++r) {
-    const auto ur = static_cast<std::uint64_t>(r);
     const auto& ops = prog.ranks[static_cast<std::size_t>(r)];
     std::int32_t* slot = op_chan.data() + op_base[static_cast<std::size_t>(r)];
-    std::array<std::uint64_t, 8> ckey;
-    std::array<std::int32_t, 8> cidx{};
-    ckey.fill(~std::uint64_t{0});
-    std::size_t cursor = 0;
-    const auto resolve = [&](std::uint64_t key) {
-      for (std::size_t k = 0; k < ckey.size(); ++k) {
-        if (ckey[k] == key) return cidx[k];
-      }
-      const std::int32_t idx = chan_of(key);
-      ckey[cursor] = key;
-      cidx[cursor] = idx;
-      cursor = (cursor + 1) % ckey.size();
-      return idx;
-    };
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const sim_op& op = ops[i];
       if (op.what == sim_op::kind::send) {
-        slot[i] = resolve(ur * up + static_cast<std::uint64_t>(op.peer));
+        slot[i] = chan_of(r, op.peer);
       } else if (op.what == sim_op::kind::recv) {
-        slot[i] = resolve(static_cast<std::uint64_t>(op.peer) * up + ur);
+        slot[i] = chan_of(op.peer, r);
       }
     }
   }
 
-  std::vector<channel_state> channels(chan_keys.size());
+  std::vector<channel_state> channels(static_cast<std::size_t>(nchan) + 1);
   std::vector<wire_node> pool;
   pool.reserve(total_sends);  // one entry per send op, good or poisoned
   std::int32_t free_head = -1;
@@ -396,17 +364,19 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   }
   if (traced) {
     // Same metric names as communicator::flush_obs, so a threaded run
-    // and its DES twin produce comparable registry contents. chan_keys
-    // is sorted by src*p+dst, i.e. the same (src,dst)-lexicographic
-    // order the seed's dense double loop emitted.
+    // and its DES twin produce comparable registry contents. Walking
+    // the rows in order gives the (src,dst)-lexicographic order the
+    // seed's dense double loop emitted.
     char name[48];
-    for (std::size_t c = 0; c < chan_keys.size(); ++c) {
-      const std::uint64_t bytes = channels[c].tx_bytes;
-      if (bytes == 0) continue;
-      const int src = static_cast<int>(chan_keys[c] / up);
-      const int dst = static_cast<int>(chan_keys[c] % up);
-      std::snprintf(name, sizeof name, "net.tx_bytes.%d->%d", src, dst);
-      tfx::obs::metric_add(name, bytes);
+    for (int src = 0; src < p; ++src) {
+      const auto us = static_cast<std::size_t>(src);
+      for (std::size_t c = chan_off[us]; c < chan_off[us + 1]; ++c) {
+        const std::uint64_t bytes = channels[c].tx_bytes;
+        if (bytes == 0) continue;
+        std::snprintf(name, sizeof name, "net.tx_bytes.%d->%d", src,
+                      chan_dst[c]);
+        tfx::obs::metric_add(name, bytes);
+      }
     }
     tfx::obs::metric_add("net.sends", result.stats.sends);
     tfx::obs::metric_add("net.attempts", result.stats.attempts);

@@ -303,6 +303,22 @@ TEST(SwmGolden, Float64CompensatedSerialReference) {
             hex(f64_compensated));
 }
 
+namespace tfx::swm {
+
+const char* name_of(halo_mode mode) {
+  switch (mode) {
+    case halo_mode::per_field: return "per_field";
+    case halo_mode::aggregated_overlap: return "aggregated_overlap";
+  }
+  return "?";
+}
+
+// gtest finds this by ADL. Without it the enum prints as raw bytes and
+// every ctest ID carries the enumerator's numeric value.
+void PrintTo(halo_mode mode, std::ostream* os) { *os << name_of(mode); }
+
+}  // namespace tfx::swm
+
 class SwmGoldenDistributed
     : public ::testing::TestWithParam<std::tuple<int, halo_mode>> {};
 
@@ -318,8 +334,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(halo_mode::per_field,
                                          halo_mode::aggregated_overlap)),
     [](const ::testing::TestParamInfo<std::tuple<int, halo_mode>>& param) {
-      const halo_mode mode = std::get<1>(param.param);
       return std::to_string(std::get<0>(param.param)) + "ranks_" +
-             (mode == halo_mode::per_field ? "per_field"
-                                           : "aggregated_overlap");
+             name_of(std::get<1>(param.param));
     });

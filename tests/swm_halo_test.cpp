@@ -36,22 +36,31 @@ using tfx::fp::float16;
 
 // -- global allocation counter for the warmup test --------------------
 // Counting only: every operator still defers to malloc/free, so the
-// rest of the binary is unaffected.
+// rest of the binary is unaffected. The operators stay out of line:
+// once GCC inlines one into a caller it pairs a new-expression with
+// free(), or malloc() with a delete-expression, and raises a false
+// -Wmismatched-new-delete.
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 #define REQUIRE_OBS_COMPILED()                                          \
   if (!obs::compiled) {                                                 \

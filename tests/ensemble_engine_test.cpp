@@ -237,10 +237,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Values(1u, 2u, 3u),
                        ::testing::Values(true, false)),
-    [](const auto& info) {
-      return "pool" + std::to_string(std::get<0>(info.param)) + "_order" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_batched" : "_oneatatime");
+    [](const auto& param_info) {
+      const auto& param = param_info.param;
+      return "pool" + std::to_string(std::get<0>(param)) + "_order" +
+             std::to_string(std::get<1>(param)) +
+             (std::get<2>(param) ? "_batched" : "_oneatatime");
     });
 
 // Forced tiny tiles exercise the ragged tile split (members not

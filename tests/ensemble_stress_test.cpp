@@ -130,9 +130,9 @@ void run_oracle(const member_config& cfg, swm::state<double>& prog,
 
 void expect_state_bits(const swm::state<double>& got,
                        const swm::state<double>& want) {
-  for (const auto [g, w] : {std::pair{&got.u, &want.u},
-                            std::pair{&got.v, &want.v},
-                            std::pair{&got.eta, &want.eta}}) {
+  for (const auto& [g, w] : {std::pair{&got.u, &want.u},
+                             std::pair{&got.v, &want.v},
+                             std::pair{&got.eta, &want.eta}}) {
     const auto gf = g->flat();
     const auto wf = w->flat();
     ASSERT_EQ(gf.size(), wf.size());

@@ -318,10 +318,10 @@ INSTANTIATE_TEST_SUITE_P(
                           std::pair<std::array<int, 3>, int>{{2, 1, 1}, 4},
                           std::pair<std::array<int, 3>, int>{{2, 2, 1}, 3},
                           std::pair<std::array<int, 3>, int>{{4, 2, 1}, 2})),
-    [](const auto& info) {
-      const auto& placement = std::get<1>(info.param);
+    [](const auto& param_info) {
+      const auto& placement = std::get<1>(param_info.param);
       return std::string(
-                 transport_manager::name_of(std::get<0>(info.param))) +
+                 transport_manager::name_of(std::get<0>(param_info.param))) +
              "_n" +
              std::to_string(placement.first[0] * placement.first[1] *
                             placement.first[2]) +

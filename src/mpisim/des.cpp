@@ -89,9 +89,11 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
     op_base[ur + 1] = op_base[ur] + ops.size();
     dsts.clear();
     for (const sim_op& op : ops) {
-      if (op.what == sim_op::kind::send) dsts.push_back(op.peer);
+      if (op.what != sim_op::kind::send) continue;
+      ++total_sends;
+      // Runs collapse here: the ring sends to one peer 2(p-1) times.
+      if (dsts.empty() || dsts.back() != op.peer) dsts.push_back(op.peer);
     }
-    total_sends += dsts.size();
     std::sort(dsts.begin(), dsts.end());
     chan_dst.insert(chan_dst.end(), dsts.begin(),
                     std::unique(dsts.begin(), dsts.end()));

@@ -368,7 +368,7 @@ TEST(DesChannels, StarvedOnSilentCrashedPeerCascades) {
 TEST(DesChannels, WideFanOutRowAt1536Ranks) {
   // Rank 0 sends to every other rank (one row of 1535 channels) and
   // collects the replies in reverse rank order; every other rank talks
-  // to rank 0 alone. Clock hashes recorded on the sorted-key table.
+  // to rank 0 alone. The clock hashes pin both fabric modes.
   const tofud_params net;
   const torus_placement place({4, 6, 16}, 4);
   const int p = place.rank_count();

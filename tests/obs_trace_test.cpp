@@ -408,11 +408,13 @@ TEST(DesTrace, TxBytesFlushCoversEveryChannel) {
     threaded_rows = tx_byte_rows();
   }
 
-  // Listed in the DES flush order: (src, dst) lexicographic.
+  // Listed in the order the DES flushes them, (src, dst) lexicographic.
+  // The registry is keyed by name, so the check compares contents.
   std::vector<std::string> want = {
-      "net.tx_bytes.0->1=112", "net.tx_bytes.0->3=16", "net.tx_bytes.0->6=31",
-      "net.tx_bytes.0->10=51", "net.tx_bytes.1->2=186",
-      "net.tx_bytes.1->4=53", "net.tx_bytes.1->7=68", "net.tx_bytes.1->11=88",
+      "net.tx_bytes.0->1=112", "net.tx_bytes.0->3=16",
+      "net.tx_bytes.0->6=31", "net.tx_bytes.0->10=51",
+      "net.tx_bytes.1->2=186", "net.tx_bytes.1->4=53",
+      "net.tx_bytes.1->7=68", "net.tx_bytes.1->11=88",
       "net.tx_bytes.2->3=260", "net.tx_bytes.2->5=90",
       "net.tx_bytes.2->8=105", "net.tx_bytes.2->12=125",
       "net.tx_bytes.3->4=334", "net.tx_bytes.3->6=127",
